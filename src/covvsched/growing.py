@@ -20,6 +20,7 @@ import numpy as np
 
 from .evalkit import Metrics, Split, evaluate
 from .neural import (
+    ACTIVATIONS,
     CLASS_COUNT,
     HIDDEN_SIZE,
     AdamState,
@@ -148,6 +149,12 @@ def load_state(path) -> TwoLayerClassifier:
         raise ModelFormatError(
             f"{path}: unsupported dimensions hidden={hidden} classes={classes}"
         )
+    if activation not in ACTIVATIONS:
+        raise ModelFormatError(f"{path}: unknown activation {activation!r}")
+    for name, values in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
+        # a NaN logit argmaxes to group 0 and would route every task high-priority
+        if not np.isfinite(values).all():
+            raise ModelFormatError(f"{path}: non-finite value in {name}")
     return TwoLayerClassifier(
         layer1=DenseLayer(weights=w1, bias=b1),
         layer2=DenseLayer(weights=w2, bias=b2),

@@ -1,11 +1,18 @@
-"""Cluster node state and the brute-force task grouping oracle.
+"""Cluster node state and the task grouping oracle.
 
 The inventory maps every node to its current attribute values. Suitability
 of a node for a task is decided purely by constraint matching (no capacity
 model here), and the suitable-node count buckets tasks into 26 groups:
 group 0 for exactly one suitable node, groups 1..25 in configurable
-increments. The counting path is a deliberate exhaustive scan; it is the
-labeling ground truth everything else is checked against.
+increments.
+
+Counting goes through an exact index that the inventory keeps up to date
+on every mutation: per attribute, the distinct values it has held and an
+array of value codes over the node rows (-1 for UNSET). A constraint is
+evaluated once per distinct value plus once for UNSET, and the verdicts
+are gathered onto the rows through the codes; a node is suitable iff no
+constraint rejects its value. `node_satisfies` stays the per-node
+specification the index is checked against.
 """
 
 from __future__ import annotations
@@ -13,7 +20,10 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain, compress
 from typing import Mapping
+
+import numpy as np
 
 from .covv import UNSET, FeatureRegistry, TaskConstraintSet, value_satisfies
 
@@ -38,16 +48,22 @@ class GroupingConfig:
 
 
 class NodeInventory:
-    """Mutable map of node id to attribute values.
+    """Mutable map of node id to attribute values, with a suitability index.
 
     A missing attribute reads as UNSET. Single writer (trace replay order
     defines state); `version` bumps on every mutation so readers can tell
-    whether a cached result is stale.
+    whether a cached result is stale. Mutate only through
+    `apply_machine_event`, which keeps the index in step with `nodes`.
     """
 
     def __init__(self):
         self.nodes: dict[int, dict[str, str]] = {}
         self.version = 0
+        # The index: nodes are never dropped, so row order is `nodes` order.
+        self._rows: dict[int, int] = {}
+        self._capacity = 16
+        self._codes: dict[str, np.ndarray] = {}  # attribute -> value code per row, -1 = UNSET
+        self._values: dict[str, dict[str, int]] = {}  # attribute -> value -> code, in code order
 
     @property
     def node_count(self) -> int:
@@ -63,7 +79,61 @@ class NodeInventory:
         snap = NodeInventory()
         snap.nodes = {n: dict(attrs) for n, attrs in self.nodes.items()}
         snap.version = self.version
+        snap._rows = dict(self._rows)
+        snap._capacity = self._capacity
+        snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
+        snap._values = {a: dict(values) for a, values in self._values.items()}
         return snap
+
+    def _row(self, node: int) -> int:
+        row = self._rows.get(node)
+        if row is None:
+            row = self._rows[node] = len(self._rows)
+            self.nodes[node] = {}
+            if row == self._capacity:
+                self._capacity *= 2
+                for attribute, codes in self._codes.items():
+                    grown = np.full(self._capacity, -1, dtype=np.int32)
+                    grown[: len(codes)] = codes
+                    self._codes[attribute] = grown
+        return row
+
+    def _set(self, node: int, attribute: str, value: str) -> None:
+        row = self._row(node)
+        self.nodes[node][attribute] = value
+        if attribute not in self._codes:
+            self._codes[attribute] = np.full(self._capacity, -1, dtype=np.int32)
+            self._values[attribute] = {}
+        values = self._values[attribute]
+        self._codes[attribute][row] = values.setdefault(value, len(values))
+        self.version += 1
+
+    def _remove(self, node: int, attribute: str) -> None:
+        attrs = self.nodes.get(node)
+        if attrs is None or attribute not in attrs:
+            return
+        del attrs[attribute]
+        self._codes[attribute][self._rows[node]] = -1
+        self.version += 1
+
+    def _suitable_rows(self, task: TaskConstraintSet) -> np.ndarray:
+        """Boolean mask over node rows: True where no constraint rejects the node's value.
+
+        Each constraint is judged once per distinct value of its attribute,
+        plus once for UNSET (the last verdict, which code -1 selects); an
+        attribute no node holds reads UNSET on every node.
+        """
+        n = len(self._rows)
+        mask = np.ones(n, dtype=bool)
+        for constraint in task.constraints:
+            values = self._values.get(constraint.attribute, {})
+            ok = np.fromiter(
+                (value_satisfies(constraint, v) for v in chain(values, (UNSET,))),
+                dtype=bool, count=len(values) + 1,
+            )
+            codes = self._codes.get(constraint.attribute)
+            mask &= ok[codes[:n]] if codes is not None else ok[-1]
+        return mask
 
 
 def apply_machine_event(
@@ -80,18 +150,18 @@ def apply_machine_event(
     attribute is a no-op.
     """
     if value is None:
-        attrs = inventory.nodes.get(node)
-        if attrs is not None and attribute in attrs:
-            del attrs[attribute]
-            inventory.version += 1
+        inventory._remove(node, attribute)
         return
-    inventory.nodes.setdefault(node, {})[attribute] = value
+    inventory._set(node, attribute, value)
     registry.register(attribute, value)
-    inventory.version += 1
 
 
 def node_satisfies(attributes: Mapping[str, str], task: TaskConstraintSet) -> bool:
-    """True iff every constraint holds, reading UNSET for missing attributes."""
+    """True iff every constraint holds, reading UNSET for missing attributes.
+
+    The per-node specification of suitability; the inventory's index must
+    agree with it on every node.
+    """
     for constraint in task.constraints:
         if not value_satisfies(constraint, attributes.get(constraint.attribute, UNSET)):
             return False
@@ -99,19 +169,13 @@ def node_satisfies(attributes: Mapping[str, str], task: TaskConstraintSet) -> bo
 
 
 def count_suitable(inventory: NodeInventory, task: TaskConstraintSet) -> int:
-    """Number of nodes satisfying the task. Exhaustive scan over the inventory."""
-    n = 0
-    for attrs in inventory.nodes.values():
-        if node_satisfies(attrs, task):
-            n += 1
-    return n
+    """Number of nodes satisfying the task."""
+    return int(np.count_nonzero(inventory._suitable_rows(task)))
 
 
 def suitable_nodes(inventory: NodeInventory, task: TaskConstraintSet) -> list[int]:
     """Ids of all suitable nodes, ascending."""
-    found = [node for node, attrs in inventory.nodes.items() if node_satisfies(attrs, task)]
-    found.sort()
-    return found
+    return sorted(compress(inventory.nodes, inventory._suitable_rows(task).tolist()))
 
 
 def group_label(count: int, cfg: GroupingConfig) -> int:

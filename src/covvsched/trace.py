@@ -91,7 +91,8 @@ def _require(obj: dict, key: str, types, lineno: int):
     if key not in obj:
         raise TraceFormatError(f"line {lineno}: missing key {key!r}")
     value = obj[key]
-    if not isinstance(value, types):
+    # bool subclasses int, but true/false is never a valid time, id or duration
+    if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         raise TraceFormatError(f"line {lineno}: key {key!r} has wrong type {type(value).__name__}")
     return value
 
@@ -122,7 +123,7 @@ def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Trace
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: event must be an object")
         time = _require(obj, "t", int, lineno)
-        if isinstance(time, bool) or time < 0:
+        if time < 0:
             raise TraceFormatError(f"line {lineno}: time must be a non-negative integer")
         if last_time is not None and time < last_time:
             raise TraceFormatError(f"line {lineno}: time regression {time} < {last_time}")
@@ -138,6 +139,8 @@ def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Trace
         elif kind == "task":
             task_id = _require(obj, "id", int, lineno)
             duration = _require(obj, "dur", int, lineno)
+            if duration < 0:
+                raise TraceFormatError(f"line {lineno}: duration must be a non-negative integer")
             cons_raw = _require(obj, "cons", list, lineno)
             try:
                 constraints = tuple(constraint_from_json(c) for c in cons_raw)

@@ -5,6 +5,8 @@ import pytest
 
 from covvsched.cli import EXIT_DATA, EXIT_OK, EXIT_TRAINING_FAILED, main
 from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet
+from covvsched.growing import save_state
+from covvsched.neural import init_model
 from covvsched.oracle import GroupingConfig, NodeInventory, apply_machine_event
 from covvsched.trace import build_snapshot, save_snapshot
 
@@ -205,6 +207,31 @@ class TestExitCodes:
         code = main(["sched-sim", "--trace", str(bad), "--policy", "fifo",
                      "--out", str(tmp_path / "o.json")])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("line", [
+        '{"t":0,"kind":"machine","node":true,"attr":"AM","val":"5"}',
+        '{"t":0,"kind":"task","id":false,"dur":5,"cons":[]}',
+        '{"t":0,"kind":"task","id":1,"dur":true,"cons":[]}',
+        '{"t":0,"kind":"task","id":1,"dur":-5,"cons":[]}',
+    ])
+    def test_bool_or_negative_trace_field_exits_2(self, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(line + "\n")
+        code = main(["sched-sim", "--trace", str(bad), "--policy", "fifo",
+                     "--out", str(tmp_path / "o.json")])
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.update(activation="tanh"),
+        lambda doc: doc["weights"].update(b2=[float("nan")] * 26),
+    ], ids=["activation", "nan-bias"])
+    def test_corrupt_model_exits_2(self, tmp_path, corrupt):
+        path = tmp_path / "model.json"
+        save_state(init_model(4, seed=1), path)
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        assert main(["inspect-model", "--model", str(path)]) == EXIT_DATA
 
     def test_bad_config_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"

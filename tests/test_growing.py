@@ -93,6 +93,30 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match="shape"):
             load_state(path)
 
+    def test_unknown_activation_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_state(init_model(4, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["activation"] = "tanh"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="activation"):
+            load_state(path)
+
+    @pytest.mark.parametrize("name,bad", [("w1", float("nan")), ("b1", float("inf")),
+                                          ("w2", float("-inf")), ("b2", float("nan"))])
+    def test_non_finite_weights_rejected(self, tmp_path, name, bad):
+        path = tmp_path / "model.json"
+        save_state(init_model(4, seed=1), path)
+        doc = json.loads(path.read_text())
+        values = doc["weights"][name]
+        if isinstance(values[0], list):
+            values[0][0] = bad
+        else:
+            values[0] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=name):
+            load_state(path)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("not a model")

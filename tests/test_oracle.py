@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covvsched.covv import UNSET, Constraint, FeatureRegistry, Op, TaskConstraintSet
 from covvsched.oracle import (
@@ -235,3 +237,95 @@ class TestInventoryFixtures:
     def test_bad_record_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
             inventory_from_jsonl('{"node": 1}\n')
+
+
+# Small pools so events collide: overwrites, removals of held attributes,
+# decimal aliases ("1", "01", "+1") of one integer, and an attribute ("d")
+# that no node ever holds.
+_NODE_IDS = st.integers(-3, 12)
+_HELD_ATTRS = ("a", "b", "c")
+_VALUES = ("0", "1", "01", "+1", "-1", "2", "10", "x", "y")
+
+_events = st.lists(st.one_of(
+    st.tuples(st.just("set"), _NODE_IDS, st.sampled_from(_HELD_ATTRS), st.sampled_from(_VALUES)),
+    st.tuples(st.just("remove"), _NODE_IDS, st.sampled_from(_HELD_ATTRS), st.none()),
+), max_size=40)
+
+
+@st.composite
+def _constraints(draw):
+    op = draw(st.sampled_from(list(Op)))
+    if op in (Op.PRESENT, Op.ABSENT):
+        operands = ()
+    elif op in (Op.IN, Op.NOT_IN):
+        operands = tuple(draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3, unique=True)))
+    else:
+        operands = (draw(st.sampled_from(_VALUES)),)
+    return Constraint(draw(st.sampled_from(_HELD_ATTRS + ("d",))), op, operands)
+
+
+_tasks = st.lists(st.lists(_constraints(), max_size=3), min_size=1, max_size=6).map(
+    lambda sets: [TaskConstraintSet(i, tuple(cs)) for i, cs in enumerate(sets)])
+
+
+def _replay(inv, reg, events):
+    for _, node, attribute, value in events:
+        apply_machine_event(inv, reg, node, attribute, value)
+
+
+def _assert_index_matches_spec(inv, tasks):
+    for task in tasks:
+        expected = sorted(node for node, attrs in inv.nodes.items() if node_satisfies(attrs, task))
+        assert count_suitable(inv, task) == len(expected)
+        assert suitable_nodes(inv, task) == expected
+
+
+class TestSuitabilityIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(events=_events, tasks=_tasks)
+    def test_index_agrees_with_node_satisfies(self, events, tasks):
+        inv, reg = NodeInventory(), FeatureRegistry()
+        for event in events:
+            _replay(inv, reg, [event])
+            _assert_index_matches_spec(inv, tasks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(before=_events, after=_events, tasks=_tasks)
+    def test_copy_and_original_are_independent(self, before, after, tasks):
+        inv, reg = NodeInventory(), FeatureRegistry()
+        _replay(inv, reg, before)
+        snap = inv.copy()
+        frozen = {n: dict(attrs) for n, attrs in inv.nodes.items()}
+        counts = [count_suitable(inv, t) for t in tasks]
+
+        _replay(snap, reg.copy(), after)
+        assert inv.nodes == frozen
+        assert [count_suitable(inv, t) for t in tasks] == counts
+        _assert_index_matches_spec(snap, tasks)
+
+        snap_nodes = {n: dict(attrs) for n, attrs in snap.nodes.items()}
+        snap_counts = [count_suitable(snap, t) for t in tasks]
+        _replay(inv, reg, after[::-1])
+        assert snap.nodes == snap_nodes
+        assert [count_suitable(snap, t) for t in tasks] == snap_counts
+        _assert_index_matches_spec(inv, tasks)
+
+    def test_node_without_attributes_reads_unset(self):
+        # removing a node's last attribute keeps the node, now UNSET everywhere
+        inv, reg = NodeInventory(), FeatureRegistry()
+        apply_machine_event(inv, reg, 9, "AM", "1")
+        apply_machine_event(inv, reg, 2, "AM", "2")
+        apply_machine_event(inv, reg, 9, "AM", None)
+        absent = TaskConstraintSet(0, (Constraint("AM", Op.ABSENT),))
+        assert inv.nodes[9] == {}
+        assert count_suitable(inv, TaskConstraintSet(1)) == 2
+        assert suitable_nodes(inv, absent) == [9]
+
+    def test_index_grows_past_initial_capacity(self):
+        inv, reg = NodeInventory(), FeatureRegistry()
+        for n in range(100, 0, -1):
+            apply_machine_event(inv, reg, n, "AM", str(n % 7))
+        apply_machine_event(inv, reg, 50, "BM", "x")
+        task = TaskConstraintSet(0, (Constraint("AM", Op.EQ, ("3",)),))
+        assert suitable_nodes(inv, task) == [n for n in range(1, 101) if n % 7 == 3]
+        assert suitable_nodes(inv, TaskConstraintSet(1, (Constraint("BM", Op.PRESENT),))) == [50]

@@ -65,6 +65,22 @@ class TestParseEvents:
         with pytest.raises(TraceFormatError, match="line 1.*pod"):
             list(parse_events('{"t":0,"kind":"pod"}\n'))
 
+    @pytest.mark.parametrize("line", [
+        '{"t":0,"kind":"machine","node":true,"attr":"AM","val":"5"}',
+        '{"t":0,"kind":"task","id":false,"dur":5,"cons":[]}',
+        '{"t":0,"kind":"task","id":1,"dur":true,"cons":[]}',
+        '{"t":0,"kind":"task","id":1,"dur":-5,"cons":[]}',
+        '{"t":true,"kind":"task","id":1,"dur":5,"cons":[]}',
+    ])
+    def test_bool_or_negative_integer_fields_name_line(self, line):
+        text = '{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n' + line + "\n"
+        with pytest.raises(TraceFormatError, match="line 2"):
+            list(parse_events(text))
+
+    def test_zero_duration_accepted(self):
+        (event,) = parse_events('{"t":0,"kind":"task","id":1,"dur":0,"cons":[]}\n')
+        assert event.duration == 0
+
     def test_round_trip_is_identity(self):
         cfg = SyntheticTraceConfig(node_count=5, attribute_count=2, values_per_attribute=3,
                                    task_count=50, span_us=10_000, seed=1)
