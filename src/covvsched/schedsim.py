@@ -6,6 +6,12 @@ high-priority queue that is always served before the main queue. Placement
 itself is ground truth: a task lands on the lowest-numbered suitable node
 with a free slot and holds the slot for its duration. Latency is measured
 in ticks from submission to placement.
+
+A dispatch walk never scans the whole cluster. Suitable-node lists are
+computed once per constraint signature and inventory version, the nodes
+with a free slot are kept as a set, and a walk over a queue already found
+placeable at the current version stops as soon as no slot is free
+anywhere, because none of its remaining tasks could move.
 """
 
 from __future__ import annotations
@@ -102,7 +108,8 @@ class SimResult:
 
 
 class OracleClassifier:
-    """Perfect predictions: brute-force counting on the current snapshot."""
+    """Perfect predictions: suitable-node counts read from the index of an
+    inventory snapshot taken at each refresh."""
 
     def __init__(self, grouping: GroupingConfig):
         self.grouping = grouping
@@ -152,8 +159,17 @@ class _QueuedTask:
     submit_tick: int
     true_group: int
     predicted_group: int | None
-    suitable: list[int]
-    inventory_version: int
+
+
+class _Queue(list):
+    """Queued tasks in arrival order.
+
+    `checked_version` is the inventory version at which a dispatch walk
+    last reached the end of the queue: every task then in the queue, and
+    every task appended at that version, had a suitable node.
+    """
+
+    checked_version = -1
 
 
 def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
@@ -179,12 +195,15 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     next_event = 0
 
     slots_free: dict[int, int] = {}
+    # nodes with slots_free > 0; never iterated, since set order is not id order
+    free_nodes: set[int] = set()
+    running = 0
     releases: list[tuple[int, int, int]] = []  # (end_tick, seq, node)
     release_seq = 0
     refresh_due: list[int] = []  # ticks at which the classifier re-snapshots
 
-    high: list[_QueuedTask] = []
-    main: list[_QueuedTask] = []
+    high = _Queue()
+    main = _Queue()
     samples: list[LatencySample] = []
     queue_trace: list[tuple[int, int, int, int]] = []
     submitted = unplaced = 0
@@ -192,28 +211,41 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     if classifier is not None:
         classifier.refresh(inventory, registry)
 
-    def refresh_suitability(rec: _QueuedTask) -> None:
-        if rec.inventory_version != inventory.version:
-            rec.suitable = suitable_nodes(inventory, rec.task)
-            rec.inventory_version = inventory.version
+    memo: dict[tuple, list[int]] = {}  # constraint signature -> suitable nodes
+    memo_version = inventory.version
 
-    def dispatch_queue(queue: list[_QueuedTask], tick: int, budget: int) -> tuple[int, int]:
-        nonlocal release_seq, unplaced
+    def suitable_for(task: TaskConstraintSet) -> list[int]:
+        nonlocal memo_version
+        if memo_version != inventory.version:
+            memo.clear()
+            memo_version = inventory.version
+        nodes = memo.get(task.constraints)
+        if nodes is None:
+            nodes = memo[task.constraints] = suitable_nodes(inventory, task)
+        return nodes
+
+    def dispatch_queue(queue: _Queue, tick: int, budget: int) -> tuple[int, int]:
+        nonlocal release_seq, running, unplaced
         placed = 0
         kept: list[_QueuedTask] = []
         for pos, rec in enumerate(queue):
-            if budget == 0:
-                kept.extend(queue[pos:])
+            # with no free slot, a queue checked at this version keeps every
+            # remaining task; otherwise the walk must go on, since it also
+            # drops tasks whose last suitable node lost an attribute
+            if budget == 0 or (not free_nodes and queue.checked_version == inventory.version):
                 break
-            refresh_suitability(rec)
-            if not rec.suitable:
+            suitable = suitable_for(rec.task)
+            if not suitable:
                 unplaced += 1
                 continue
-            node = next((n for n in rec.suitable if slots_free.get(n, 0) > 0), None)
+            node = next((n for n in suitable if n in free_nodes), None)
             if node is None:
                 kept.append(rec)
                 continue
             slots_free[node] -= 1
+            if slots_free[node] == 0:
+                free_nodes.discard(node)
+            running += 1
             release_seq += 1
             heapq.heappush(releases, (tick + rec.duration_ticks, release_seq, node))
             samples.append(LatencySample(
@@ -225,7 +257,10 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
             ))
             placed += 1
             budget -= 1
-        queue[:] = kept
+        else:
+            pos = len(queue)
+            queue.checked_version = inventory.version
+        queue[:pos] = kept  # the unvisited tail stays in place
         return placed, budget
 
     tick = event_ticks[0] if event_ticks else 0
@@ -237,11 +272,13 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
                 if isinstance(event, MachineEvent):
                     apply_machine_event(inventory, registry, event.node, event.attribute,
                                         event.value)
-                    slots_free.setdefault(event.node, cfg.slots_per_node)
+                    if event.node not in slots_free:
+                        slots_free[event.node] = cfg.slots_per_node
+                        free_nodes.add(event.node)
                     changed = True
                 else:
                     submitted += 1
-                    suitable = suitable_nodes(inventory, event.task)
+                    suitable = suitable_for(event.task)
                     if not suitable:
                         unplaced += 1
                         continue
@@ -258,8 +295,6 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
                         submit_tick=tick,
                         true_group=true_group,
                         predicted_group=predicted,
-                        suitable=suitable,
-                        inventory_version=inventory.version,
                     ))
             if changed and classifier is not None:
                 heapq.heappush(refresh_due, tick + cfg.retrain_delay_ticks)
@@ -273,6 +308,8 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
         while releases and releases[0][0] <= tick:
             _, _, node = heapq.heappop(releases)
             slots_free[node] += 1
+            free_nodes.add(node)
+            running -= 1
 
         budget = cfg.dispatch_rate
         placed_now = 0
@@ -285,8 +322,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
         else:
             placed_now, budget = dispatch_queue(main, tick, budget)
 
-        queue_trace.append((tick, len(high), len(main),
-                            sum(cfg.slots_per_node - f for f in slots_free.values())))
+        queue_trace.append((tick, len(high), len(main), running))
         assert submitted == len(samples) + unplaced + len(high) + len(main)
 
         queued = bool(high or main)

@@ -100,8 +100,8 @@ def _require(obj: dict, key: str, types, lineno: int):
 def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[TraceEvent]:
     """Parse a JSONL trace, yielding events in file order.
 
-    Validates the schema and time monotonicity; every failure names the
-    offending line.
+    Validates the schema, time monotonicity and task-id uniqueness; every
+    failure names the offending line.
     """
     if isinstance(source, bytes):
         lines: Iterable[str] = source.decode("utf-8").splitlines()
@@ -110,6 +110,7 @@ def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Trace
     else:
         lines = source
     last_time = None
+    task_ids: set[int] = set()
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -138,6 +139,9 @@ def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Trace
             yield MachineEvent(time=time, node=node, attribute=attribute, value=value)
         elif kind == "task":
             task_id = _require(obj, "id", int, lineno)
+            if task_id in task_ids:
+                raise TraceFormatError(f"line {lineno}: duplicate task id {task_id}")
+            task_ids.add(task_id)
             duration = _require(obj, "dur", int, lineno)
             if duration < 0:
                 raise TraceFormatError(f"line {lineno}: duration must be a non-negative integer")

@@ -221,6 +221,14 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.json")])
         assert code == EXIT_DATA
 
+    def test_duplicate_task_id_exits_2(self, tmp_path):
+        bad = tmp_path / "dup.jsonl"
+        bad.write_text('{"t":0,"kind":"task","id":4,"dur":5,"cons":[]}\n'
+                       '{"t":1,"kind":"task","id":4,"dur":5,"cons":[]}\n')
+        code = main(["sched-sim", "--trace", str(bad), "--policy", "fifo",
+                     "--out", str(tmp_path / "o.json")])
+        assert code == EXIT_DATA
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.update(activation="tanh"),
         lambda doc: doc["weights"].update(b2=[float("nan")] * 26),

@@ -1,5 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sched_reference import reference_simulate
 
 from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet
 from covvsched.neural import CLASS_COUNT, DenseLayer, TwoLayerClassifier
@@ -11,7 +17,13 @@ from covvsched.schedsim import (
     oracle_classifier,
     simulate,
 )
-from covvsched.trace import MachineEvent, TaskEvent
+from covvsched.trace import (
+    MachineEvent,
+    SyntheticTraceConfig,
+    TaskEvent,
+    generate_trace,
+    parse_events,
+)
 
 
 def bootstrap(node_count, extra=()):
@@ -128,6 +140,17 @@ class TestQueueDiscipline:
         # placement on node 0 shows up as the first release freeing node 0; check via queue trace length
         assert res.placed == 1
 
+    def test_lowest_node_id_wins_over_set_order(self):
+        # a set of {1, 8, 16} iterates as [8, 1, 16]; the long task must take node 1
+        events = [MachineEvent(0, n, "uid", str(n)) for n in (1, 8, 16)] + [
+            task(0, 1000, dur=50_000),
+            pin(1, 2000, node=1),
+            pin(2, 2000, node=8),
+        ]
+        res = simulate(events, NodeInventory(), None,
+                       SchedulerConfig(policy="fifo", slots_per_node=1))
+        assert {s.task_id: s.placement_tick for s in res.samples} == {0: 1, 1: 51, 2: 2}
+
 
 class TestUnplaced:
     def test_impossible_task_counts_unplaced(self):
@@ -225,3 +248,170 @@ class TestLatencyStats:
         assert set(stats["overall"]) == {"count", "mean", "median", "p95"}
         assert "0" in stats["per_group"]
         assert stats["per_group"]["0"]["count"] == 10
+
+
+class ModuloClassifier:
+    """Predicts from the task id, so both queues fill whatever the cluster holds."""
+
+    def refresh(self, inventory, registry):
+        pass
+
+    def predict(self, task):
+        return task.task_id % 3
+
+
+# Few nodes, attributes and values, and long tasks, so that every slot is
+# often busy, sets overwrite, and removals empty a queued task's suitable
+# set. A set of {1, 8, 16} iterates as [8, 1, 16], not in id order. The
+# trace bootstraps _SIM_NODES; node 9 joins mid-trace, and node 40 exists
+# only in a pre-populated inventory, so it never gets a slot.
+_SIM_NODES = (1, 2, 8, 16)
+_SIM_ATTRS = ("a", "b")
+_SIM_VALUES = ("0", "1", "2")
+_SIM_DURATIONS = (0, 500, 2_000, 20_000, 60_000)
+
+
+@st.composite
+def _sim_constraint(draw):
+    op = draw(st.sampled_from(list(Op)))
+    if op in (Op.PRESENT, Op.ABSENT):
+        operands = ()
+    elif op in (Op.IN, Op.NOT_IN):
+        operands = tuple(draw(st.lists(st.sampled_from(_SIM_VALUES), min_size=1, max_size=2,
+                                       unique=True)))
+    else:
+        operands = (draw(st.sampled_from(_SIM_VALUES)),)
+    return Constraint(draw(st.sampled_from(_SIM_ATTRS)), op, operands)
+
+
+def _sim_machine(nodes):
+    """(node, attribute, value) with None for a removal."""
+    return st.tuples(st.sampled_from(nodes), st.sampled_from(_SIM_ATTRS),
+                     st.one_of(st.none(), st.sampled_from(_SIM_VALUES)))
+
+
+_sim_bootstrap = st.lists(st.tuples(st.sampled_from(_SIM_VALUES), st.sampled_from(_SIM_VALUES)),
+                          min_size=len(_SIM_NODES), max_size=len(_SIM_NODES))
+# one task per step, after an optional machine event at the same time
+_sim_steps = st.lists(st.tuples(
+    st.integers(0, 1),  # ticks since the previous step
+    st.one_of(st.none(), _sim_machine(_SIM_NODES + (9,))),
+    st.lists(_sim_constraint(), max_size=2),
+    st.sampled_from(_SIM_DURATIONS),
+), min_size=10, max_size=30)
+
+
+def _sim_events(bootstrap, steps, remove_only_node):
+    # every node starts with values of "a" and "b", so it has slots from
+    # tick 0; node 30 only ever sees a remove, so it gets slots that no
+    # task can use
+    events = [MachineEvent(0, n, attribute, value)
+              for n, values in zip(_SIM_NODES, bootstrap)
+              for attribute, value in zip(_SIM_ATTRS, values)]
+    if remove_only_node:
+        events.append(MachineEvent(0, 30, "a", None))
+    t = 0
+    for tid, (gap, machine, constraints, duration) in enumerate(steps):
+        t += gap * 1000 + (tid % 2) * 300
+        if machine is not None:
+            events.append(MachineEvent(t, *machine))
+        events.append(TaskEvent(t, TaskConstraintSet(tid, tuple(constraints)), duration))
+    return events
+
+
+def _sim_outcome(run, events, preload, classifier, cfg):
+    inv, reg = NodeInventory(), FeatureRegistry()
+    for node, attribute, value in preload:
+        apply_machine_event(inv, reg, node, attribute, value)
+    clf = {None: None, "oracle": OracleClassifier(GroupingConfig(increment=2)),
+           "modulo": ModuloClassifier()}[classifier]
+    try:
+        res = run(events, inv, clf, cfg, GroupingConfig(increment=2))
+    except AssertionError as exc:
+        # a task whose only suitable nodes were pre-populated and never got slots
+        return "stuck", str(exc)
+    # every sample field, task id and placement tick included
+    return res.latency_stats(), res.queue_trace, res.samples
+
+
+class TestReferenceWalk:
+    @settings(max_examples=400, deadline=None)
+    @given(bootstrap=_sim_bootstrap, steps=_sim_steps, remove_only_node=st.booleans(),
+           preload=st.lists(_sim_machine(_SIM_NODES + (40,)), max_size=6),
+           policy=st.sampled_from([("fifo", None), ("co-analyzer", "oracle"),
+                                   ("co-analyzer", "modulo")]),
+           slots=st.integers(1, 2), rate=st.integers(1, 3), delay=st.integers(0, 3))
+    def test_simulate_matches_reference(self, bootstrap, steps, remove_only_node, preload,
+                                        policy, slots, rate, delay):
+        events = _sim_events(bootstrap, steps, remove_only_node)
+        cfg = SchedulerConfig(policy=policy[0], slots_per_node=slots, dispatch_rate=rate,
+                              retrain_delay_ticks=delay)
+        assert _sim_outcome(simulate, events, preload, policy[1], cfg) == \
+            _sim_outcome(reference_simulate, events, preload, policy[1], cfg)
+
+    V_EQ_X = (Constraint("v", Op.EQ, ("x",)),)
+
+    @pytest.mark.parametrize("events, rate, trace", [
+        # node 0's only slot is busy when it loses "v" at tick 5
+        (bootstrap(1, [MachineEvent(0, 0, "v", "x")]) + [
+            task(0, 1000, dur=50_000),
+            task(1, 2000, constraints=V_EQ_X),
+            MachineEvent(5000, 0, "v", None),
+        ], 4, [(0, 0, 0, 0), (1, 0, 0, 1), (2, 0, 1, 1), (5, 0, 0, 1), (51, 0, 0, 0)]),
+        # node 1 loses "v" at tick 2, whose walk takes the last slot and
+        # runs out of budget before it reaches task 2
+        (bootstrap(2, [MachineEvent(0, 1, "v", "x")]) + [
+            task(0, 1000, dur=50_000),
+            task(1, 2000, dur=50_000),
+            task(2, 2000, constraints=V_EQ_X),
+            MachineEvent(2000, 1, "v", None),
+        ], 1, [(0, 0, 0, 0), (1, 0, 0, 1), (2, 0, 1, 2), (3, 0, 0, 2), (51, 0, 0, 1),
+               (52, 0, 0, 0)]),
+    ], ids=["no-free-slot", "budget-spent"])
+    def test_removal_drops_queued_task_while_no_slot_is_free(self, events, rate, trace):
+        # the task left without a suitable node is dropped at the first walk
+        # after the removal, not kept until a slot frees up
+        res = simulate(events, NodeInventory(), None,
+                       SchedulerConfig(policy="fifo", slots_per_node=1, dispatch_rate=rate))
+        assert res.unplaced == 1
+        assert res.queue_trace == trace
+
+
+def golden_events():
+    """The desk cell of the acceptance suite (200 nodes, seed 11) with its
+    task count, span and growth times scaled from 42,000 tasks to 2,000, so
+    arrivals keep their rate and a backlog of several hundred tasks builds."""
+    def scale(t):
+        return t * 2_000 // 42_000
+    cfg = SyntheticTraceConfig(
+        node_count=200, attribute_count=8, values_per_attribute=10, task_count=2_000,
+        constrained_fraction=0.4, restrictive_rate=15,
+        growth_schedule=tuple((scale(2_000_000 + i * 2_000_000), 3) for i in range(20)),
+        span_us=scale(44_000_000), seed=11)
+    return list(parse_events(generate_trace(cfg)))
+
+
+def output_digest(result):
+    """SHA-256 of the bytes `sched-sim` writes to latency.json and --queue-trace."""
+    h = hashlib.sha256()
+    h.update((json.dumps(result.latency_stats(), indent=2) + "\n").encode())
+    h.update(b"tick,high_priority,main,running\n")
+    for row in result.queue_trace:
+        h.update((",".join(str(v) for v in row) + "\n").encode())
+    return h.hexdigest()
+
+
+class TestGolden:
+    # recorded from the per-tick walk that re-scanned every queued task's
+    # suitable nodes for a free slot, before the free-node set replaced it
+    DIGESTS = {
+        "fifo": "ceec92b4886e7836ce18147878b952b10e975b2a1d35623cf0587a53d43621dd",
+        "co-analyzer": "dd6ab008fa551b68c455771cf714dd2e38cd8478ed425e9f93e416308d542a40",
+    }
+
+    @pytest.mark.parametrize("policy", sorted(DIGESTS))
+    def test_desk_cell_outputs_unchanged(self, policy):
+        clf = OracleClassifier(GroupingConfig()) if policy == "co-analyzer" else None
+        res = simulate(golden_events(), NodeInventory(), clf, SchedulerConfig(policy=policy))
+        assert res.submitted == res.placed == 2_000
+        assert output_digest(res) == self.DIGESTS[policy]

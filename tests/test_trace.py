@@ -77,6 +77,15 @@ class TestParseEvents:
         with pytest.raises(TraceFormatError, match="line 2"):
             list(parse_events(text))
 
+    def test_duplicate_task_id_names_line(self):
+        text = (
+            '{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n'
+            '{"t":0,"kind":"task","id":2,"dur":5,"cons":[]}\n'
+            '{"t":1,"kind":"task","id":1,"dur":5,"cons":[]}\n'
+        )
+        with pytest.raises(TraceFormatError, match="line 3: duplicate task id 1"):
+            list(parse_events(text))
+
     def test_zero_duration_accepted(self):
         (event,) = parse_events('{"t":0,"kind":"task","id":1,"dur":0,"cons":[]}\n')
         assert event.duration == 0
