@@ -18,7 +18,6 @@ from .covv import (  # noqa: F401
     align,
     encode_constraint,
     encode_task,
-    register_observation,
     value_satisfies,
 )
 from .oracle import (  # noqa: F401

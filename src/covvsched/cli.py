@@ -28,7 +28,7 @@ from .growing import (
     train_growing,
 )
 from .oracle import GroupingConfig, NodeInventory
-from .pipeline import _dataclass_from_dict, load_run_config, run_simulation
+from .pipeline import dataclass_from_dict, load_run_config, run_simulation
 from .schedsim import (
     POLICY_CO_ANALYZER,
     ModelClassifier,
@@ -80,7 +80,7 @@ def _cmd_gen_trace(args) -> int:
         section["seed"] = args.seed
     if args.tasks is not None:
         section["task_count"] = args.tasks
-    cfg = _dataclass_from_dict(SyntheticTraceConfig, section, "trace")
+    cfg = dataclass_from_dict(SyntheticTraceConfig, section, "trace")
     data = generate_trace(cfg)
     with open(args.out, "wb") as f:
         f.write(data)
@@ -118,8 +118,8 @@ def _cmd_train(args) -> int:
     section = dict(doc.get("train", {}))
     if args.seed is not None:
         section["seed"] = args.seed
-    train_cfg = _dataclass_from_dict(TrainConfig, section, "train")
-    split_cfg = _dataclass_from_dict(SplitConfig, doc.get("split", {}), "split")
+    train_cfg = dataclass_from_dict(TrainConfig, section, "train")
+    split_cfg = dataclass_from_dict(SplitConfig, doc.get("split", {}), "split")
     snapshot = load_snapshot(args.data)
     split = stratified_split(snapshot, split_cfg)
     if args.model:
@@ -176,8 +176,8 @@ def _cmd_sched_sim(args) -> int:
     doc = _load_config(args.config)
     sched_section = dict(doc.get("sched", {}))
     sched_section["policy"] = args.policy
-    sched_cfg = _dataclass_from_dict(SchedulerConfig, sched_section, "sched")
-    grouping = _dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
+    sched_cfg = dataclass_from_dict(SchedulerConfig, sched_section, "sched")
+    grouping = dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
     events = read_trace(args.trace)
 
     classifier = None

@@ -204,11 +204,6 @@ class FeatureRegistry:
         return snap
 
 
-def register_observation(registry: FeatureRegistry, attribute: str, value=UNSET) -> int:
-    """Record that an attribute value exists somewhere in the cluster."""
-    return registry.register(attribute, value)
-
-
 def _register_constraint(registry: FeatureRegistry, constraint: Constraint) -> None:
     # operand values become columns too: the feature space must cover values
     # seen only in constraints, never on any machine

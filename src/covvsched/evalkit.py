@@ -178,31 +178,16 @@ def write_report(rows, path, fmt: str = "csv") -> None:
 
     Missing group-0 F1 renders as an empty CSV cell and as JSON null.
     """
-    rows = list(rows)
+    rows = [{c: getattr(r, c) for c in REPORT_COLUMNS} for r in rows]
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(REPORT_COLUMNS)
-            for r in rows:
-                writer.writerow([
-                    r.step_time, r.features_count, r.model, r.epochs, r.attempts,
-                    r.accuracy, "" if r.group0_f1 is None else r.group0_f1,
-                ])
+            for row in rows:
+                writer.writerow(["" if v is None else v for v in row.values()])
     elif fmt == "json":
-        doc = [
-            {
-                "step_time": r.step_time,
-                "features_count": r.features_count,
-                "model": r.model,
-                "epochs": r.epochs,
-                "attempts": r.attempts,
-                "accuracy": r.accuracy,
-                "group0_f1": r.group0_f1,
-            }
-            for r in rows
-        ]
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
+            json.dump(rows, f, indent=2)
             f.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")

@@ -6,18 +6,20 @@ model here), and the suitable-node count buckets tasks into 26 groups:
 group 0 for exactly one suitable node, groups 1..25 in configurable
 increments.
 
-Counting goes through an exact index that the inventory keeps up to date
-on every mutation: per attribute, the distinct values it has held and an
-array of value codes over the node rows (-1 for UNSET). A constraint is
+Suitability goes through an exact index that the inventory keeps up to
+date on every mutation: per attribute, the distinct values it has held and
+an array of value codes over the node rows (-1 for UNSET). A constraint is
 evaluated once per distinct value plus once for UNSET, and the verdicts
 are gathered onto the rows through the codes; a node is suitable iff no
-constraint rejects its value. `node_satisfies` stays the per-node
+constraint rejects its value. The sorted suitable ids are cached per
+constraint signature inside the inventory, and every mutation clears that
+cache, so `suitable_nodes` and `count_suitable` are the one place the
+answer is computed and kept. `node_satisfies` stays the per-node
 specification the index is checked against.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from itertools import chain, compress
@@ -51,9 +53,10 @@ class NodeInventory:
     """Mutable map of node id to attribute values, with a suitability index.
 
     A missing attribute reads as UNSET. Single writer (trace replay order
-    defines state); `version` bumps on every mutation so readers can tell
-    whether a cached result is stale. Mutate only through
-    `apply_machine_event`, which keeps the index in step with `nodes`.
+    defines state). Mutate only through `apply_machine_event`, which keeps
+    the index in step with `nodes` and clears the suitability cache.
+    `version` bumps on every mutation; the scheduler reads it to tell
+    whether a queue was last walked at the current state.
     """
 
     def __init__(self):
@@ -64,6 +67,7 @@ class NodeInventory:
         self._capacity = 16
         self._codes: dict[str, np.ndarray] = {}  # attribute -> value code per row, -1 = UNSET
         self._values: dict[str, dict[str, int]] = {}  # attribute -> value -> code, in code order
+        self._suitable: dict[tuple, list[int]] = {}  # constraint signature -> sorted suitable ids
 
     @property
     def node_count(self) -> int:
@@ -83,7 +87,7 @@ class NodeInventory:
         snap._capacity = self._capacity
         snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
         snap._values = {a: dict(values) for a, values in self._values.items()}
-        return snap
+        return snap  # with its own, empty suitability cache
 
     def _row(self, node: int) -> int:
         row = self._rows.get(node)
@@ -107,6 +111,7 @@ class NodeInventory:
         values = self._values[attribute]
         self._codes[attribute][row] = values.setdefault(value, len(values))
         self.version += 1
+        self._suitable.clear()
 
     def _remove(self, node: int, attribute: str) -> None:
         attrs = self.nodes.get(node)
@@ -115,14 +120,18 @@ class NodeInventory:
         del attrs[attribute]
         self._codes[attribute][self._rows[node]] = -1
         self.version += 1
+        self._suitable.clear()
 
-    def _suitable_rows(self, task: TaskConstraintSet) -> np.ndarray:
-        """Boolean mask over node rows: True where no constraint rejects the node's value.
+    def _suitable_nodes(self, task: TaskConstraintSet) -> list[int]:
+        """Sorted ids of the nodes no constraint rejects, cached per constraint signature.
 
         Each constraint is judged once per distinct value of its attribute,
         plus once for UNSET (the last verdict, which code -1 selects); an
         attribute no node holds reads UNSET on every node.
         """
+        nodes = self._suitable.get(task.constraints)
+        if nodes is not None:
+            return nodes
         n = len(self._rows)
         mask = np.ones(n, dtype=bool)
         for constraint in task.constraints:
@@ -133,7 +142,8 @@ class NodeInventory:
             )
             codes = self._codes.get(constraint.attribute)
             mask &= ok[codes[:n]] if codes is not None else ok[-1]
-        return mask
+        nodes = self._suitable[task.constraints] = sorted(compress(self.nodes, mask.tolist()))
+        return nodes
 
 
 def apply_machine_event(
@@ -170,12 +180,16 @@ def node_satisfies(attributes: Mapping[str, str], task: TaskConstraintSet) -> bo
 
 def count_suitable(inventory: NodeInventory, task: TaskConstraintSet) -> int:
     """Number of nodes satisfying the task."""
-    return int(np.count_nonzero(inventory._suitable_rows(task)))
+    return len(inventory._suitable_nodes(task))
 
 
 def suitable_nodes(inventory: NodeInventory, task: TaskConstraintSet) -> list[int]:
-    """Ids of all suitable nodes, ascending."""
-    return sorted(compress(inventory.nodes, inventory._suitable_rows(task).tolist()))
+    """Ids of all suitable nodes, ascending.
+
+    The list is the inventory's cached one, shared by every caller until the
+    next mutation: do not mutate it.
+    """
+    return inventory._suitable_nodes(task)
 
 
 def group_label(count: int, cfg: GroupingConfig) -> int:
@@ -193,30 +207,3 @@ def group_label(count: int, cfg: GroupingConfig) -> int:
         return 0
     return min(GROUP_COUNT - 1, -(-count // cfg.increment))
 
-
-def inventory_to_jsonl(inventory: NodeInventory) -> str:
-    """Serialize for test fixtures: one (node, attribute, value) triple per line."""
-    lines = []
-    for node in sorted(inventory.nodes):
-        for attribute in sorted(inventory.nodes[node]):
-            lines.append(json.dumps(
-                {"node": node, "attr": attribute, "val": inventory.nodes[node][attribute]},
-                separators=(",", ":"),
-            ))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def inventory_from_jsonl(text: str, registry: FeatureRegistry | None = None) -> NodeInventory:
-    """Rebuild an inventory from its fixture form, optionally feeding a registry."""
-    inventory = NodeInventory()
-    reg = registry if registry is not None else FeatureRegistry()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            node, attribute, value = obj["node"], obj["attr"], obj["val"]
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise ValueError(f"line {lineno}: bad inventory record: {exc}") from None
-        apply_machine_event(inventory, reg, node, attribute, value)
-    return inventory

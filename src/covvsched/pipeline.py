@@ -85,7 +85,9 @@ class RunConfig:
             raise ConfigError(f"bulk_growth_limit must be >= 1, got {self.bulk_growth_limit}")
 
 
-def _dataclass_from_dict(cls, data: dict, where: str):
+def dataclass_from_dict(cls, data: dict, where: str):
+    """Build a config dataclass from one config-file section; ConfigError on
+    a non-object section, an unknown key or a rejected value."""
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object")
     known = {f.name for f in dataclasses.fields(cls)}
@@ -108,10 +110,10 @@ def load_run_config(doc: dict, **overrides) -> RunConfig:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
     kwargs = dict(doc.get("run", {}))
     if "trace" in doc:
-        kwargs["trace"] = _dataclass_from_dict(SyntheticTraceConfig, doc["trace"], "trace")
-    kwargs["grouping"] = _dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
-    kwargs["train"] = _dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
-    kwargs["split"] = _dataclass_from_dict(SplitConfig, doc.get("split", {}), "split")
+        kwargs["trace"] = dataclass_from_dict(SyntheticTraceConfig, doc["trace"], "trace")
+    kwargs["grouping"] = dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
+    kwargs["train"] = dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
+    kwargs["split"] = dataclass_from_dict(SplitConfig, doc.get("split", {}), "split")
     for key, value in overrides.items():
         if value is not None:
             kwargs[key] = value

@@ -7,11 +7,13 @@ itself is ground truth: a task lands on the lowest-numbered suitable node
 with a free slot and holds the slot for its duration. Latency is measured
 in ticks from submission to placement.
 
-A dispatch walk never scans the whole cluster. Suitable-node lists are
-computed once per constraint signature and inventory version, the nodes
-with a free slot are kept as a set, and a walk over a queue already found
-placeable at the current version stops as soon as no slot is free
-anywhere, because none of its remaining tasks could move.
+A dispatch walk never scans the whole cluster. Suitable-node lists come
+from `suitable_nodes`, which the inventory caches per constraint signature
+until its next mutation; the nodes with a free slot are kept as a set, and
+a walk over a queue already found placeable at the current inventory
+version stops as soon as no slot is free anywhere, because none of its
+remaining tasks could move. Nodes already in the inventory passed in get
+their slots at the start, like nodes that join through a machine event.
 """
 
 from __future__ import annotations
@@ -108,8 +110,14 @@ class SimResult:
 
 
 class OracleClassifier:
-    """Perfect predictions: suitable-node counts read from the index of an
-    inventory snapshot taken at each refresh."""
+    """Perfect predictions: suitable-node counts of an inventory copy taken
+    at each refresh.
+
+    The copy is not a cache but the past state the classifier may see:
+    submissions before a refresh comes due, under `retrain_delay_ticks` or
+    in the tick of a machine event, are judged against it. It keeps its own
+    suitability cache.
+    """
 
     def __init__(self, grouping: GroupingConfig):
         self.grouping = grouping
@@ -142,14 +150,6 @@ class ModelClassifier:
         n = min(len(bits), len(x))
         x[:n] = bits[:n]
         return int(np.argmax(forward(self.model, x)))
-
-
-def oracle_classifier(inventory: NodeInventory, registry: FeatureRegistry,
-                      grouping: GroupingConfig) -> OracleClassifier:
-    """Upper-bound comparator: routing driven by ground-truth group labels."""
-    clf = OracleClassifier(grouping)
-    clf.refresh(inventory, registry)
-    return clf
 
 
 @dataclass
@@ -194,9 +194,9 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     event_ticks = sorted(by_tick)
     next_event = 0
 
-    slots_free: dict[int, int] = {}
+    slots_free = dict.fromkeys(inventory.nodes, cfg.slots_per_node)
     # nodes with slots_free > 0; never iterated, since set order is not id order
-    free_nodes: set[int] = set()
+    free_nodes = set(slots_free)
     running = 0
     releases: list[tuple[int, int, int]] = []  # (end_tick, seq, node)
     release_seq = 0
@@ -211,19 +211,6 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     if classifier is not None:
         classifier.refresh(inventory, registry)
 
-    memo: dict[tuple, list[int]] = {}  # constraint signature -> suitable nodes
-    memo_version = inventory.version
-
-    def suitable_for(task: TaskConstraintSet) -> list[int]:
-        nonlocal memo_version
-        if memo_version != inventory.version:
-            memo.clear()
-            memo_version = inventory.version
-        nodes = memo.get(task.constraints)
-        if nodes is None:
-            nodes = memo[task.constraints] = suitable_nodes(inventory, task)
-        return nodes
-
     def dispatch_queue(queue: _Queue, tick: int, budget: int) -> tuple[int, int]:
         nonlocal release_seq, running, unplaced
         placed = 0
@@ -234,7 +221,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
             # drops tasks whose last suitable node lost an attribute
             if budget == 0 or (not free_nodes and queue.checked_version == inventory.version):
                 break
-            suitable = suitable_for(rec.task)
+            suitable = suitable_nodes(inventory, rec.task)
             if not suitable:
                 unplaced += 1
                 continue
@@ -278,7 +265,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
                     changed = True
                 else:
                     submitted += 1
-                    suitable = suitable_for(event.task)
+                    suitable = suitable_nodes(inventory, event.task)
                     if not suitable:
                         unplaced += 1
                         continue

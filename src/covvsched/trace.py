@@ -313,20 +313,15 @@ def build_snapshot(
 
     Encoding registers operand-only values, so the registry may grow while
     the snapshot is built; every row is aligned to the final length.
-    Suitable-node counts are cached per constraint signature (the inventory
-    is frozen for the duration of a step).
+    Labels come from `count_suitable`, which reads the inventory's own
+    suitability cache.
     """
     rows: list[np.ndarray] = []
     labels: list[int] = []
     dropped = 0
-    counts: dict[tuple, int] = {}
     for task in tasks:
         bits = encode_task(task, registry)
-        count = counts.get(task.constraints)
-        if count is None:
-            count = count_suitable(inventory, task)
-            counts[task.constraints] = count
-        label = group_label(count, grouping)
+        label = group_label(count_suitable(inventory, task), grouping)
         if label == UNSCHEDULABLE:
             dropped += 1
             continue

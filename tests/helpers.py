@@ -1,13 +1,18 @@
-"""Shared test utilities: an independent finite-difference gradient oracle.
+"""Shared test utilities: an independent finite-difference gradient oracle
+and a JSONL fixture form of node inventories.
 
 The reference loss below is written from scratch with plain dense numpy
 ops, deliberately sharing no code with the library's forward pass, so the
 gradient check compares two independent implementations.
 """
 
+import json
+
 import numpy as np
 
+from covvsched.covv import FeatureRegistry
 from covvsched.neural import Gradients, TwoLayerClassifier
+from covvsched.oracle import NodeInventory, apply_machine_event
 
 
 def reference_loss(model: TwoLayerClassifier, X, y, class_weights) -> float:
@@ -73,3 +78,31 @@ def gradient_check(model, X, y, class_weights, h: float = 1e-5) -> float:
         max_relative_error(grads.w2, numeric.w2),
         max_relative_error(grads.b2, numeric.b2),
     )
+
+
+def inventory_to_jsonl(inventory: NodeInventory) -> str:
+    """Serialize for test fixtures: one (node, attribute, value) triple per line."""
+    lines = []
+    for node in sorted(inventory.nodes):
+        for attribute in sorted(inventory.nodes[node]):
+            lines.append(json.dumps(
+                {"node": node, "attr": attribute, "val": inventory.nodes[node][attribute]},
+                separators=(",", ":"),
+            ))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def inventory_from_jsonl(text: str, registry: FeatureRegistry | None = None) -> NodeInventory:
+    """Rebuild an inventory from its fixture form, optionally feeding a registry."""
+    inventory = NodeInventory()
+    reg = registry if registry is not None else FeatureRegistry()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            node, attribute, value = obj["node"], obj["attr"], obj["val"]
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise ValueError(f"line {lineno}: bad inventory record: {exc}") from None
+        apply_machine_event(inventory, reg, node, attribute, value)
+    return inventory

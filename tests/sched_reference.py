@@ -3,7 +3,8 @@
 A plain per-tick replay written for clarity, not speed. Every tick it
 walks each queue from the front, re-derives a task's suitable nodes with
 `node_satisfies` whenever the inventory changed since it last looked, and
-scans the sorted suitable list for a node with a free slot. It shares no
+scans the sorted suitable list for a node with a free slot. Nodes already
+in the inventory passed in start with all their slots free. It shares no
 dispatch code with the library: only the result types and the classifier
 interface.
 """
@@ -44,7 +45,7 @@ def reference_simulate(events, inventory, classifier, cfg, grouping=None) -> Sim
     event_ticks = sorted(by_tick)
     next_event = 0
 
-    slots_free = {}
+    slots_free = {node: cfg.slots_per_node for node in inventory.nodes}
     releases = []
     release_seq = 0
     refresh_due = []

@@ -13,7 +13,6 @@ from covvsched.covv import (
     constraint_to_json,
     encode_constraint,
     encode_task,
-    register_observation,
     value_satisfies,
 )
 
@@ -28,14 +27,14 @@ def am_registry(values=range(10)):
 class TestRegistry:
     def test_first_insert_creates_unset_column(self):
         reg = FeatureRegistry()
-        idx = register_observation(reg, "AM", "5")
+        idx = reg.register("AM", "5")
         assert idx == 1
         assert reg.columns == [("AM", UNSET), ("AM", "5")]
 
     def test_register_is_idempotent(self):
         reg = FeatureRegistry()
-        register_observation(reg, "AM", "5")
-        assert register_observation(reg, "AM", "5") == 1
+        reg.register("AM", "5")
+        assert reg.register("AM", "5") == 1
         assert len(reg) == 2
 
     def test_new_value_appends_at_end(self):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import inventory_from_jsonl, inventory_to_jsonl
 
 from covvsched.covv import UNSET, Constraint, FeatureRegistry, Op, TaskConstraintSet
 from covvsched.oracle import (
@@ -11,8 +12,6 @@ from covvsched.oracle import (
     apply_machine_event,
     count_suitable,
     group_label,
-    inventory_from_jsonl,
-    inventory_to_jsonl,
     node_satisfies,
     suitable_nodes,
 )

@@ -14,7 +14,6 @@ from covvsched.schedsim import (
     ModelClassifier,
     OracleClassifier,
     SchedulerConfig,
-    oracle_classifier,
     simulate,
 )
 from covvsched.trace import (
@@ -78,7 +77,7 @@ class TestPolicyEquivalence:
         cfg_f = SchedulerConfig(policy="fifo", dispatch_rate=2)
         cfg_c = SchedulerConfig(policy="co-analyzer", dispatch_rate=2)
         fifo = simulate(events, NodeInventory(), None, cfg_f)
-        co = simulate(events, NodeInventory(), oracle_classifier(NodeInventory(), FeatureRegistry(), GroupingConfig()), cfg_c)
+        co = simulate(events, NodeInventory(), OracleClassifier(GroupingConfig()), cfg_c)
         assert [(s.task_id, s.placement_tick) for s in fifo.samples] == \
                [(s.task_id, s.placement_tick) for s in co.samples]
 
@@ -151,6 +150,14 @@ class TestQueueDiscipline:
                        SchedulerConfig(policy="fifo", slots_per_node=1))
         assert {s.task_id: s.placement_tick for s in res.samples} == {0: 1, 1: 51, 2: 2}
 
+    def test_node_of_the_given_inventory_has_slots(self):
+        # node 5 is never touched by a machine event in the trace
+        inv = NodeInventory()
+        apply_machine_event(inv, FeatureRegistry(), 5, "uid", "5")
+        res = simulate(bootstrap(2) + [pin(0, 3000, node=5)], inv, None,
+                       SchedulerConfig(policy="fifo"))
+        assert [(s.task_id, s.submit_tick, s.placement_tick) for s in res.samples] == [(0, 3, 3)]
+
 
 class TestUnplaced:
     def test_impossible_task_counts_unplaced(self):
@@ -193,7 +200,8 @@ class TestClassifiers:
         inv, reg = NodeInventory(), FeatureRegistry()
         for n in range(200):
             apply_machine_event(inv, reg, n, "uid", str(n))
-        clf = oracle_classifier(inv, reg, GroupingConfig(increment=500))
+        clf = OracleClassifier(GroupingConfig(increment=500))
+        clf.refresh(inv, reg)
         assert clf.predict(TaskConstraintSet(0, (Constraint("uid", Op.EQ, ("7",)),))) == 0
         # min(25, ceil(200 / 500)) for the unconstrained task
         assert clf.predict(TaskConstraintSet(1)) == 1
@@ -325,11 +333,7 @@ def _sim_outcome(run, events, preload, classifier, cfg):
         apply_machine_event(inv, reg, node, attribute, value)
     clf = {None: None, "oracle": OracleClassifier(GroupingConfig(increment=2)),
            "modulo": ModuloClassifier()}[classifier]
-    try:
-        res = run(events, inv, clf, cfg, GroupingConfig(increment=2))
-    except AssertionError as exc:
-        # a task whose only suitable nodes were pre-populated and never got slots
-        return "stuck", str(exc)
+    res = run(events, inv, clf, cfg, GroupingConfig(increment=2))
     # every sample field, task id and placement tick included
     return res.latency_stats(), res.queue_trace, res.samples
 
