@@ -7,11 +7,18 @@ unacceptable to the task. The 0/1 roles are deliberately reversed from the
 usual one-hot convention: downstream models hunt for unacceptable nodes,
 and new columns default to 0 (acceptable), so old vectors stay valid when
 the feature space grows.
+
+Because columns only append and a column's bit depends only on the
+constraint and the column's value, the registry keeps each constraint
+signature's encoding and, when columns have been added since, judges only
+the new ones. `value_satisfies` thus runs once per (signature, column) over
+a registry's life, however often a task is encoded again.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -80,6 +87,8 @@ class Constraint:
     operands: tuple[str, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.attribute, str):
+            raise ValueError(f"attribute key must be a string, got {self.attribute!r}")
         if not self.attribute or any(ch.isspace() for ch in self.attribute):
             raise ValueError(f"attribute key must be a non-empty token, got {self.attribute!r}")
         object.__setattr__(self, "operands", tuple(self.operands))
@@ -147,12 +156,18 @@ class FeatureRegistry:
     column created for an attribute is its UNSET column, added when the
     attribute is first observed; concrete values then append strictly in
     observation order. Single writer; readers may share a frozen copy.
+
+    It also keeps the encoding of every constraint signature `encode_task`
+    was asked for, as a read-only row at the width of the last request. A
+    row never needs invalidation, only extension over the columns appended
+    since; each copy starts with an empty cache of its own.
     """
 
     def __init__(self):
         self._columns: list[tuple[str, object]] = []
         self._index: dict[tuple[str, object], int] = {}
         self._by_attr: dict[str, list[int]] = {}
+        self._encodings: dict[tuple[Constraint, ...], np.ndarray] = {}  # signature -> row
 
     def __len__(self) -> int:
         return len(self._columns)
@@ -201,7 +216,32 @@ class FeatureRegistry:
         snap._columns = list(self._columns)
         snap._index = dict(self._index)
         snap._by_attr = {a: list(ix) for a, ix in self._by_attr.items()}
-        return snap
+        return snap  # with its own, empty encoding cache
+
+    def _encoding(self, constraints: tuple[Constraint, ...]) -> np.ndarray:
+        """The OR of the constraints' encodings at the current width, cached per signature.
+
+        A cached row shorter than the registry is copied into a new row and
+        only the columns from its old length on are judged; rows handed out
+        earlier keep their bytes.
+        """
+        row = self._encodings.get(constraints)
+        width = len(self._columns)
+        if row is not None and len(row) == width:
+            return row
+        bits = np.zeros(width, dtype=np.uint8)
+        start = 0
+        if row is not None:
+            start = len(row)
+            bits[:start] = row
+        for constraint in constraints:
+            ix = self._by_attr.get(constraint.attribute, [])
+            for idx in ix[bisect_left(ix, start):]:
+                if not value_satisfies(constraint, self._columns[idx][1]):
+                    bits[idx] = 1
+        bits.flags.writeable = False
+        self._encodings[constraints] = bits
+        return bits
 
 
 def _register_constraint(registry: FeatureRegistry, constraint: Constraint) -> None:
@@ -233,15 +273,15 @@ def encode_task(task: TaskConstraintSet, registry: FeatureRegistry, *, register:
     """Element-wise OR of the task's constraint encodings.
 
     A value is unacceptable if any constraint rejects it; an empty
-    constraint set encodes to all zeros.
+    constraint set encodes to all zeros. The result is the registry's
+    cached row for the task's constraint signature, shared with every
+    caller that encodes the same signature at the same width, so it is
+    read-only: copy it before changing it.
     """
     if register:
         for constraint in task.constraints:
             _register_constraint(registry, constraint)
-    bits = np.zeros(len(registry), dtype=np.uint8)
-    for constraint in task.constraints:
-        bits |= encode_constraint(constraint, registry, register=False)
-    return bits
+    return registry._encoding(task.constraints)
 
 
 def align(bits: np.ndarray, registry: FeatureRegistry) -> np.ndarray:

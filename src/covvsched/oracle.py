@@ -11,23 +11,25 @@ date on every mutation: per attribute, the distinct values it has held and
 an array of value codes over the node rows (-1 for UNSET). A constraint is
 evaluated once per distinct value plus once for UNSET, and the verdicts
 are gathered onto the rows through the codes; a node is suitable iff no
-constraint rejects its value. The sorted suitable ids are cached per
-constraint signature inside the inventory, and every mutation clears that
-cache, so `suitable_nodes` and `count_suitable` are the one place the
-answer is computed and kept. `node_satisfies` stays the per-node
-specification the index is checked against.
+constraint rejects its value. Value codes only append, so the inventory
+keeps each constraint's verdicts across mutations and judges only the
+codes added since. The sorted suitable ids are cached per constraint
+signature inside the inventory, and every mutation clears that cache, so
+`suitable_nodes` and `count_suitable` are the one place the answer is
+computed and kept. `node_satisfies` stays the per-node specification the
+index is checked against.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress
+from itertools import chain, compress, islice
 from typing import Mapping
 
 import numpy as np
 
-from .covv import UNSET, FeatureRegistry, TaskConstraintSet, value_satisfies
+from .covv import UNSET, Constraint, FeatureRegistry, TaskConstraintSet, value_satisfies
 
 log = logging.getLogger(__name__)
 
@@ -54,7 +56,10 @@ class NodeInventory:
 
     A missing attribute reads as UNSET. Single writer (trace replay order
     defines state). Mutate only through `apply_machine_event`, which keeps
-    the index in step with `nodes` and clears the suitability cache.
+    the index in step with `nodes` and clears the suitability cache. The
+    per-constraint verdicts over value codes outlive mutations: a code
+    keeps its value for good, so they are only extended over new codes.
+    A copy starts with both caches empty, since its codes may diverge.
     `version` bumps on every mutation; the scheduler reads it to tell
     whether a queue was last walked at the current state.
     """
@@ -68,6 +73,7 @@ class NodeInventory:
         self._codes: dict[str, np.ndarray] = {}  # attribute -> value code per row, -1 = UNSET
         self._values: dict[str, dict[str, int]] = {}  # attribute -> value -> code, in code order
         self._suitable: dict[tuple, list[int]] = {}  # constraint signature -> sorted suitable ids
+        self._verdicts: dict[Constraint, np.ndarray] = {}  # constraint -> verdict per code, UNSET last
 
     @property
     def node_count(self) -> int:
@@ -87,7 +93,7 @@ class NodeInventory:
         snap._capacity = self._capacity
         snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
         snap._values = {a: dict(values) for a, values in self._values.items()}
-        return snap  # with its own, empty suitability cache
+        return snap  # with its own, empty caches
 
     def _row(self, node: int) -> int:
         row = self._rows.get(node)
@@ -122,12 +128,31 @@ class NodeInventory:
         self.version += 1
         self._suitable.clear()
 
+    def _verdict(self, constraint: Constraint) -> np.ndarray:
+        """Whether each value code of the attribute satisfies the constraint, UNSET last.
+
+        Judged once per code: a cached array that predates new codes is
+        copied into a new array and extended over those codes only.
+        """
+        values = self._values.get(constraint.attribute, {})
+        ok = self._verdicts.get(constraint)
+        if ok is not None and len(ok) == len(values) + 1:
+            return ok
+        start = 0 if ok is None else len(ok) - 1
+        new = np.fromiter(
+            (value_satisfies(constraint, v) for v in chain(islice(values, start, None), (UNSET,))),
+            dtype=bool, count=len(values) - start + 1,
+        )
+        ok = new if ok is None else np.concatenate((ok[:-1], new))
+        self._verdicts[constraint] = ok
+        return ok
+
     def _suitable_nodes(self, task: TaskConstraintSet) -> list[int]:
         """Sorted ids of the nodes no constraint rejects, cached per constraint signature.
 
-        Each constraint is judged once per distinct value of its attribute,
-        plus once for UNSET (the last verdict, which code -1 selects); an
-        attribute no node holds reads UNSET on every node.
+        Each constraint's verdicts are gathered onto the rows through the
+        value codes (code -1 selects the UNSET verdict); an attribute no
+        node holds reads UNSET on every node.
         """
         nodes = self._suitable.get(task.constraints)
         if nodes is not None:
@@ -135,11 +160,7 @@ class NodeInventory:
         n = len(self._rows)
         mask = np.ones(n, dtype=bool)
         for constraint in task.constraints:
-            values = self._values.get(constraint.attribute, {})
-            ok = np.fromiter(
-                (value_satisfies(constraint, v) for v in chain(values, (UNSET,))),
-                dtype=bool, count=len(values) + 1,
-            )
+            ok = self._verdict(constraint)
             codes = self._codes.get(constraint.attribute)
             mask &= ok[codes[:n]] if codes is not None else ok[-1]
         nodes = self._suitable[task.constraints] = sorted(compress(self.nodes, mask.tolist()))

@@ -21,7 +21,6 @@ from .covv import (
     FeatureRegistry,
     Op,
     TaskConstraintSet,
-    align,
     constraint_from_json,
     constraint_to_json,
     encode_task,
@@ -312,9 +311,11 @@ def build_snapshot(
     """Encode every task and label it by its suitable-node group.
 
     Encoding registers operand-only values, so the registry may grow while
-    the snapshot is built; every row is aligned to the final length.
-    Labels come from `count_suitable`, which reads the inventory's own
-    suitability cache.
+    the snapshot is built. Each row is the encoding `encode_task` returned
+    for its task, at the width of that moment, zero-padded to the final
+    length: a column registered by a later task of the same snapshot stays
+    0 in an earlier row. Encodings and labels come from the registry's and
+    the inventory's own caches.
     """
     rows: list[np.ndarray] = []
     labels: list[int] = []
@@ -331,7 +332,7 @@ def build_snapshot(
     width = len(registry)
     X = np.zeros((len(rows), width), dtype=np.uint8)
     for i, bits in enumerate(rows):
-        X[i] = align(bits, registry)
+        X[i, : len(bits)] = bits
     y = np.asarray(labels, dtype=np.int64)
     if dropped:
         log.warning("dropped %d unschedulable task(s) from snapshot at t=%d", dropped, step_time)

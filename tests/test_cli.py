@@ -229,6 +229,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.json")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["simulate", "sched-sim"])
+    @pytest.mark.parametrize("attr", ['5', '["a"]'])
+    def test_non_string_constraint_attribute_exits_2(self, tmp_path, config_file, command, attr):
+        bad = tmp_path / "attr.jsonl"
+        bad.write_text('{"t":0,"kind":"machine","node":0,"attr":"a","val":"1"}\n'
+                       '{"t":1,"kind":"task","id":1,"dur":5,'
+                       '"cons":[{"attr":%s,"op":"EQ","operands":["1"]}]}\n' % attr)
+        if command == "simulate":
+            args = ["simulate", "--config", str(config_file), "--trace", str(bad),
+                    "--out-dir", str(tmp_path / "o")]
+        else:
+            args = ["sched-sim", "--trace", str(bad), "--policy", "co-analyzer", "--oracle",
+                    "--out", str(tmp_path / "o.json")]
+        assert main(args) == EXIT_DATA
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.update(activation="tanh"),
         lambda doc: doc["weights"].update(b2=[float("nan")] * 26),

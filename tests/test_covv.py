@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covvsched.covv import (
     UNSET,
@@ -139,6 +141,11 @@ class TestConstraintValidation:
         with pytest.raises(ValueError):
             Constraint("A M", Op.PRESENT)
 
+    @pytest.mark.parametrize("attribute", [5, ["a"], None, ("a",)])
+    def test_attribute_must_be_a_string(self, attribute):
+        with pytest.raises(ValueError, match="must be a string"):
+            Constraint(attribute, Op.PRESENT)
+
 
 class TestEncodeConstraint:
     def test_ge_five(self):
@@ -243,6 +250,86 @@ class TestAppendOnlyStability:
         assert np.array_equal(after[: len(before)], before)
         # the new AM values are concrete numbers failing GE 5? 10,11,12 pass
         assert after[reg.index_of("AM", "10")] == 0
+
+
+_ATTRS = ("a", "b", "c")
+_VALUES = ("0", "1", "2", "01", "+2", "x")
+
+
+@st.composite
+def _constraints(draw):
+    op = draw(st.sampled_from(list(Op)))
+    if op in (Op.PRESENT, Op.ABSENT):
+        size = 0
+    elif op in (Op.IN, Op.NOT_IN):
+        size = draw(st.integers(1, 3))
+    else:
+        size = 1
+    operands = draw(st.lists(st.sampled_from(_VALUES), min_size=size, max_size=size))
+    return Constraint(draw(st.sampled_from(_ATTRS)), op, tuple(operands))
+
+
+_signatures = st.lists(_constraints(), max_size=3).map(tuple)
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("machine"), st.integers(0, 1), st.sampled_from(_ATTRS), st.sampled_from(_VALUES)),
+    st.tuples(st.just("attribute"), st.integers(0, 1), st.sampled_from(_ATTRS)),
+    st.tuples(st.just("encode"), st.integers(0, 1), st.integers(0, 3), st.booleans()),
+    st.tuples(st.just("copy"),),
+), max_size=40)
+
+
+def spec_encoding(constraints, registry):
+    """The OR of fresh per-constraint encodings against a frozen copy."""
+    frozen = registry.copy()
+    bits = np.zeros(len(frozen), dtype=np.uint8)
+    for c in constraints:
+        bits |= encode_constraint(c, frozen, register=False)
+    return bits
+
+
+class TestEncodingCache:
+    @settings(max_examples=300, deadline=None)
+    @given(pool=st.lists(_signatures, min_size=4, max_size=4), steps=_steps)
+    def test_cached_rows_match_fresh_encodings(self, pool, steps):
+        # machine values, operand-only values and new attributes interleave
+        # with encodings; a copy forks off and then grows on its own
+        registries = [FeatureRegistry()]
+        returned = []
+        for step in steps:
+            if step[0] == "copy":
+                registries[1:] = [registries[0].copy()]
+                continue
+            reg = registries[step[1] % len(registries)]
+            if step[0] == "machine":
+                reg.register(step[2], step[3])
+            elif step[0] == "attribute":
+                reg.register(step[2])
+            else:
+                task = TaskConstraintSet(0, pool[step[2]])
+                bits = encode_task(task, reg, register=step[3])
+                assert bits.tolist() == spec_encoding(task.constraints, reg).tolist()
+                assert not bits.flags.writeable
+                returned.append((bits, bits.tobytes()))
+        for bits, original in returned:
+            assert bits.tobytes() == original
+
+    def test_copy_starts_with_its_own_cache(self):
+        reg = am_registry(range(3))
+        task = TaskConstraintSet(0, (Constraint("AM", Op.EQ, ("1",)),))
+        before = encode_task(task, reg)
+        snap = reg.copy()
+        snap.register("B", "x")  # the copy's next column is not an AM value
+        reg.register("AM", "7")
+        assert encode_task(task, snap).tolist() == [1, 1, 0, 1, 0, 0]
+        assert encode_task(task, reg).tolist() == [1, 1, 0, 1, 1]
+        assert before.tolist() == [1, 1, 0, 1]
+
+    def test_same_attribute_different_constraints_cached_apart(self):
+        reg = am_registry(range(3))
+        eq = encode_task(TaskConstraintSet(0, (Constraint("AM", Op.EQ, ("1",)),)), reg)
+        ne = encode_task(TaskConstraintSet(1, (Constraint("AM", Op.NE, ("1",)),)), reg)
+        assert eq.tolist() == [1, 1, 0, 1]
+        assert ne.tolist() == [0, 0, 1, 0]
 
 
 class TestAlign:

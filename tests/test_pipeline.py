@@ -1,20 +1,33 @@
+import hashlib
 import json
 import logging
 
 import numpy as np
 import pytest
 
+from covvsched.covv import Constraint, Op, TaskConstraintSet
+from covvsched.growing import TrainConfig
+from covvsched.oracle import GroupingConfig
 from covvsched.pipeline import (
     ARM_FULLY_RETRAIN,
     ARM_GROWING,
     MANIFEST,
     REPORT_CSV,
+    REPORT_JSON,
     RunConfig,
     config_digest,
     load_run_config,
     run_simulation,
 )
-from covvsched.trace import ConfigError, SyntheticTraceConfig
+from covvsched.trace import (
+    ConfigError,
+    MachineEvent,
+    SyntheticTraceConfig,
+    TaskEvent,
+    generate_trace,
+    parse_events,
+    serialize_events,
+)
 
 
 def small_trace(seed=3, growth_steps=4, tasks=1600):
@@ -144,3 +157,52 @@ class TestRunConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="node_cout"):
             load_run_config({"trace": {"node_cout": 10}})
+
+
+def golden_trace():
+    """A small synthetic trace with three growth steps, plus hand-written
+    tasks whose operands no node holds (97-99), interleaved with tasks that
+    share their signatures, in four windows: operand-only columns then
+    appear mid-snapshot, and history tasks are encoded again at a wider
+    registry."""
+    events = list(parse_events(generate_trace(small_trace(seed=5, growth_steps=3, tasks=800))))
+    tid = 100_000
+    for start, v in ((500_000, "97"), (1_800_000, "98"), (3_200_000, "99"), (6_000_000, "96")):
+        signatures = (
+            (Constraint("a0", Op.EQ, ("1",)),),
+            (Constraint("a0", Op.NE, (v,)),),
+            (Constraint("a0", Op.EQ, ("1",)),),
+            (Constraint("a1", Op.LE, (v,)),),
+            (Constraint("a1", Op.GE, ("2",)),),
+            (Constraint("a2", Op.IN, ("2", v)),),
+            (Constraint("a1", Op.GE, ("2",)),),
+            (Constraint("a0", Op.EQ, ("1",)), Constraint("a1", Op.LE, (v,))),
+        )
+        for k, constraints in enumerate(signatures):
+            events.append(TaskEvent(start + 7 * k + 1, TaskConstraintSet(tid, constraints), 1000))
+            tid += 1
+    order = {MachineEvent: 0, TaskEvent: 1}
+    indexed = sorted(enumerate(events), key=lambda p: (p[1].time, order[type(p[1])], p[0]))
+    return serialize_events(e for _, e in indexed)
+
+
+class TestGolden:
+    # recorded before each registry and inventory kept its own verdicts, when
+    # every step encoded and judged every task of its window from scratch
+    DIGEST = "2d10010daf80e447b7440443cf1e7cd49fa3a4b25035c8556b16ef131b1a11dd"
+
+    def test_step_reports_unchanged(self, tmp_path):
+        trace = tmp_path / "golden.jsonl"
+        trace.write_bytes(golden_trace())
+        # increment 3 spreads the 40 nodes' counts over many groups, so no
+        # step passes its gate and each accuracy depends on the exact rows
+        cfg = RunConfig(trace_path=str(trace), seed=5, history_windows=2,
+                        grouping=GroupingConfig(increment=3),
+                        train=TrainConfig(epochs_limit=20, max_attempts=2),
+                        out_dir=str(tmp_path / "out"))
+        result = run_simulation(cfg)
+        assert sum(1 for r in result.reports if r.model == ARM_GROWING) >= 4
+        h = hashlib.sha256()
+        for name in (REPORT_CSV, REPORT_JSON):
+            h.update((tmp_path / "out" / name).read_bytes())
+        assert h.hexdigest() == self.DIGEST

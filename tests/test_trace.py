@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet
+from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet, encode_task
 from covvsched.oracle import (
     GroupingConfig,
     NodeInventory,
@@ -86,6 +88,13 @@ class TestParseEvents:
         with pytest.raises(TraceFormatError, match="line 3: duplicate task id 1"):
             list(parse_events(text))
 
+    @pytest.mark.parametrize("attr", ['5', '["a"]', '{"a":1}', 'null', 'true'])
+    def test_non_string_constraint_attribute_names_line(self, attr):
+        text = ('{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n'
+                '{"t":0,"kind":"task","id":2,"dur":5,"cons":[{"attr":%s,"op":"PRESENT"}]}\n' % attr)
+        with pytest.raises(TraceFormatError, match="line 2"):
+            list(parse_events(text))
+
     def test_zero_duration_accepted(self):
         (event,) = parse_events('{"t":0,"kind":"task","id":1,"dur":0,"cons":[]}\n')
         assert event.duration == 0
@@ -96,6 +105,64 @@ class TestParseEvents:
         data = generate_trace(cfg)
         events = list(parse_events(data))
         assert serialize_events(events) == data
+
+
+# any JSON value, nested a little
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+_VALID_CONSTRAINTS = (("EQ", ["1"]), ("IN", ["1", "2"]), ("PRESENT", []))
+
+
+@st.composite
+def _near_valid_events(draw):
+    """A valid machine or task object with one or two fields, top-level or
+    inside a constraint, replaced by an arbitrary JSON value."""
+    attr = st.sampled_from(["a", "b"])
+    if draw(st.booleans()):
+        doc = {"t": draw(st.integers(0, 9)), "kind": "machine", "node": draw(st.integers(0, 9)),
+               "attr": draw(attr), "val": draw(st.sampled_from(["1", None]))}
+    else:
+        cons = []
+        for op, operands in draw(st.lists(st.sampled_from(_VALID_CONSTRAINTS), max_size=2)):
+            cons.append({"attr": draw(attr), "op": op, "operands": list(operands)})
+        doc = {"t": draw(st.integers(0, 9)), "kind": "task", "id": draw(st.integers(0, 9)),
+               "dur": draw(st.integers(0, 9)), "cons": cons}
+    fields = [(doc, key) for key in doc] + [(c, key) for c in doc.get("cons", []) for key in c]
+    for target, key in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2)):
+        target[key] = draw(_json)
+    return doc
+
+
+class TestParseFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(docs=st.lists(st.one_of(_json, _near_valid_events()), min_size=1, max_size=4))
+    def test_rejects_with_trace_format_error_or_yields_typed_events(self, docs):
+        text = "".join(json.dumps(doc) + "\n" for doc in docs)
+        try:
+            events = list(parse_events(text))
+        except TraceFormatError:
+            return
+        for event in events:
+            assert type(event.time) is int and event.time >= 0
+            if isinstance(event, MachineEvent):
+                assert type(event.node) is int
+                assert isinstance(event.attribute, str)
+                assert event.value is None or isinstance(event.value, str)
+                continue
+            assert isinstance(event, TaskEvent)
+            assert type(event.task.task_id) is int
+            assert type(event.duration) is int and event.duration >= 0
+            hash(event.task.constraints)
+            for c in event.task.constraints:
+                assert isinstance(c.attribute, str) and c.attribute
+                assert isinstance(c.op, Op)
+                assert all(isinstance(o, str) for o in c.operands)
 
 
 class TestGenerateTrace:
@@ -217,6 +284,22 @@ class TestBuildSnapshot:
         snap = build_snapshot(tasks, reg, inv, GroupingConfig())
         assert snap.features_count == before + 1
         assert snap.X.shape[1] == snap.features_count
+
+
+    def test_row_keeps_width_of_its_own_encoding(self):
+        # an operand-only column registered mid-snapshot stays 0 in the rows
+        # encoded before it, even for a signature encoded again after it
+        inv, reg = NodeInventory(), FeatureRegistry()
+        for n in range(6):
+            apply_machine_event(inv, reg, n, "a0", str(n % 3))
+        eq1 = (Constraint("a0", Op.EQ, ("1",)),)
+        tasks = [TaskConstraintSet(0, eq1),
+                 TaskConstraintSet(1, (Constraint("a0", Op.NE, ("97",)),)),
+                 TaskConstraintSet(2, eq1)]
+        snap = build_snapshot(tasks, reg, inv, GroupingConfig(increment=3))
+        assert snap.X.tolist() == [[1, 1, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 0, 1, 1]]
+        assert snap.y.tolist() == [1, 2, 1]
+        assert encode_task(tasks[0], reg).tolist() == [1, 1, 0, 1, 1]
 
 
 class TestSnapshotLabelFidelity:
