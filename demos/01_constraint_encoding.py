@@ -7,7 +7,9 @@ value the task cannot accept; this is deliberately reversed from one-hot
 conventions because the models downstream hunt for unacceptable nodes.
 """
 
-from covvsched import Constraint, FeatureRegistry, Op, TaskConstraintSet, align
+import numpy as np
+
+from covvsched import Constraint, FeatureRegistry, Op, TaskConstraintSet
 from covvsched.covv import encode_constraint, encode_task
 
 
@@ -47,4 +49,4 @@ registry.register("AM", "10")
 registry.register("disk", "ssd")
 print(f"after growth the registry has {len(registry)} columns;")
 print("old vectors right-pad with zeros (new values are acceptable by default):")
-show("0 < AM < 3", align(old_vector, registry))
+show("0 < AM < 3", np.pad(old_vector, (0, len(registry) - len(old_vector))))

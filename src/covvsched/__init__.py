@@ -15,7 +15,6 @@ from .covv import (  # noqa: F401
     FeatureRegistry,
     Op,
     TaskConstraintSet,
-    align,
     encode_constraint,
     encode_task,
     value_satisfies,

@@ -73,9 +73,16 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    return dict(section)
+
+
 def _cmd_gen_trace(args) -> int:
     doc = _load_config(args.config)
-    section = dict(doc.get("trace", {}))
+    section = _section(doc, "trace")
     if args.seed is not None:
         section["seed"] = args.seed
     if args.tasks is not None:
@@ -98,8 +105,6 @@ def _cmd_simulate(args) -> int:
     }
     if args.arms:
         overrides["arms"] = tuple(args.arms.split(","))
-    if args.split_bulk_growth:
-        overrides["split_bulk_growth"] = True
     cfg = load_run_config(doc, **overrides)
     result = run_simulation(cfg)
     for arm, stats in result.summary.items():
@@ -115,7 +120,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_train(args) -> int:
     doc = _load_config(args.config)
-    section = dict(doc.get("train", {}))
+    section = _section(doc, "train")
     if args.seed is not None:
         section["seed"] = args.seed
     train_cfg = dataclass_from_dict(TrainConfig, section, "train")
@@ -174,7 +179,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sched_sim(args) -> int:
     doc = _load_config(args.config)
-    sched_section = dict(doc.get("sched", {}))
+    sched_section = _section(doc, "sched")
     sched_section["policy"] = args.policy
     sched_cfg = dataclass_from_dict(SchedulerConfig, sched_section, "sched")
     grouping = dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
@@ -240,7 +245,6 @@ def build_parser() -> _Parser:
     p.add_argument("--arms", help="comma-separated arms: growing,fully_retrain")
     p.add_argument("--seed", type=int)
     p.add_argument("--history-windows", type=int, dest="history_windows")
-    p.add_argument("--split-bulk-growth", action="store_true", dest="split_bulk_growth")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("train", help="train a model on a dataset snapshot")

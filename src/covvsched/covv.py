@@ -208,9 +208,6 @@ class FeatureRegistry:
         """Column positions belonging to one attribute, in column order."""
         return list(self._by_attr.get(attribute, ()))
 
-    def attributes(self) -> list[str]:
-        return list(self._by_attr)
-
     def copy(self) -> "FeatureRegistry":
         snap = FeatureRegistry()
         snap._columns = list(self._columns)
@@ -282,22 +279,6 @@ def encode_task(task: TaskConstraintSet, registry: FeatureRegistry, *, register:
         for constraint in task.constraints:
             _register_constraint(registry, constraint)
     return registry._encoding(task.constraints)
-
-
-def align(bits: np.ndarray, registry: FeatureRegistry) -> np.ndarray:
-    """Right-pad a vector with zeros to the current registry length.
-
-    Columns added after encoding were unknown to the task, hence acceptable
-    by default. A vector longer than the registry is an error.
-    """
-    n = len(registry)
-    if len(bits) > n:
-        raise ValueError(f"vector length {len(bits)} exceeds registry length {n}")
-    if len(bits) == n:
-        return bits
-    out = np.zeros(n, dtype=bits.dtype)
-    out[: len(bits)] = bits
-    return out
 
 
 def constraint_to_json(constraint: Constraint) -> dict:

@@ -18,8 +18,11 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class SplitConfig:
+    """Holdout share and seed. The split is always stratified when every
+    present class has two samples; otherwise it falls back to a plain
+    random split and says so in `Split.stratified`."""
+
     test_fraction: float = 0.25
-    stratified: bool = True  # attempt stratification; falls back when infeasible
     seed: int = 0
 
     def __post_init__(self):
@@ -54,11 +57,9 @@ def stratified_split(snapshot: DatasetSnapshot, cfg: SplitConfig) -> Split:
     rng = np.random.default_rng(cfg.seed)
     y = snapshot.y
     classes, counts = np.unique(y, return_counts=True)
-    feasible = cfg.stratified and int(counts.min()) >= 2
 
-    if not feasible:
-        if cfg.stratified:
-            log.warning("class with fewer than 2 samples; falling back to plain random split")
+    if int(counts.min()) < 2:
+        log.warning("class with fewer than 2 samples; falling back to plain random split")
         perm = rng.permutation(n)
         n_test = min(max(1, round(n * cfg.test_fraction)), n - 1)
         test_idx = np.sort(perm[:n_test])

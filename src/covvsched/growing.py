@@ -139,7 +139,7 @@ def load_state(path) -> TwoLayerClassifier:
         activation = doc["activation"]
         creation_seed = doc["creation_seed"]
         history = [tuple(rec) for rec in doc["extension_history"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model state: {exc}") from None
     if w1.shape != (hidden, features_count) or b1.shape != (hidden,):
         raise ModelFormatError(f"{path}: input layer shape mismatch")
@@ -151,6 +151,11 @@ def load_state(path) -> TwoLayerClassifier:
         )
     if activation not in ACTIVATIONS:
         raise ModelFormatError(f"{path}: unknown activation {activation!r}")
+    for rec in history:
+        # the last record's old width is the pretrained width train_growing uses
+        if not (len(rec) == 3 and all(type(v) is int for v in rec)
+                and 0 <= rec[1] < rec[2] <= w1.shape[1]):
+            raise ModelFormatError(f"{path}: bad extension_history record {list(rec)!r}")
     for name, values in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
         # a NaN logit argmaxes to group 0 and would route every task high-priority
         if not np.isfinite(values).all():
@@ -268,25 +273,26 @@ def _run_attempts(split: Split, cfg: TrainConfig, features_count: int,
                                time.perf_counter() - start)
 
 
-def train_growing(model: TwoLayerClassifier, split: Split, cfg: TrainConfig,
-                  pretrained_features: int | None = None) -> tuple[TwoLayerClassifier, TrainOutcome]:
+def train_growing(model: TwoLayerClassifier, split: Split,
+                  cfg: TrainConfig) -> tuple[TwoLayerClassifier, TrainOutcome]:
     """Fine-tune a pre-trained, just-extended model on a step's dataset.
 
     The output layer stays frozen and pretrained input columns train at
-    cfg.pretrained_gradient_rate. `pretrained_features` defaults to the old
-    width recorded by the most recent extension (the whole width if the
-    model was never extended). Takes ownership of `model`; weights are
-    updated in place.
+    cfg.pretrained_gradient_rate; the rest train at rate 1.0. The pretrained
+    width is the old width recorded by the most recent extension, or the
+    whole width if the model was never extended. An extension to equal
+    width records nothing, so a model that did not grow this step treats
+    its previous extension's columns as new again. Takes ownership of
+    `model`; weights are updated in place.
     """
     if model.features_count != split.X_train.shape[1]:
         raise ValueError(
             f"model width {model.features_count} does not match data width {split.X_train.shape[1]}"
         )
-    if pretrained_features is None:
-        if model.extension_history:
-            pretrained_features = model.extension_history[-1][1]
-        else:
-            pretrained_features = model.features_count
+    if model.extension_history:
+        pretrained_features = model.extension_history[-1][1]
+    else:
+        pretrained_features = model.features_count
     return _run_attempts(split, cfg, model.features_count, model, pretrained_features)
 
 

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import __version__
 from .covv import FeatureRegistry
-from .evalkit import Split, SplitConfig, StepReport, stratified_split, write_report
+from .evalkit import SplitConfig, StepReport, stratified_split, write_report
 from .growing import (
     MODE_FAILED,
     TrainConfig,
-    TrainOutcome,
     extend_input_layer,
     train_full,
     train_growing,
@@ -68,7 +67,6 @@ class RunConfig:
     arms: tuple = ARMS
     history_windows: int = 3  # previous windows merged into each snapshot
     bulk_growth_limit: int = 40  # warn when one step adds more features
-    split_bulk_growth: bool = False  # grow the model in chunks of <= limit
 
     def __post_init__(self):
         self.arms = tuple(self.arms)
@@ -79,24 +77,43 @@ class RunConfig:
             raise ConfigError("at least one arm is required")
         if self.trace is None and self.trace_path is None:
             raise ConfigError("either a synthetic trace config or a trace path is required")
+        if self.trace_path is not None and not isinstance(self.trace_path, str):
+            raise ConfigError(f"trace_path must be a string, got {type(self.trace_path).__name__}")
         if self.history_windows < 0:
             raise ConfigError(f"history_windows must be >= 0, got {self.history_windows}")
         if self.bulk_growth_limit < 1:
             raise ConfigError(f"bulk_growth_limit must be >= 1, got {self.bulk_growth_limit}")
 
 
+# JSON types a config value may take, by the type of its field's default
+_SCALAR_TYPES = {bool: bool, int: int, float: (int, float), str: str}
+
+
 def dataclass_from_dict(cls, data: dict, where: str):
     """Build a config dataclass from one config-file section; ConfigError on
-    a non-object section, an unknown key or a rejected value."""
+    a non-object section, an unknown key or a rejected value.
+
+    A field whose default is a bool, int, float or str takes only a value of
+    that JSON type; a float field also takes an int, and a bool never counts
+    as a number.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"section {where!r} must be an object")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
+    for f in dataclasses.fields(cls):
+        accepted = _SCALAR_TYPES.get(type(f.default))
+        if accepted is None or f.name not in data:
+            continue
+        value = data[f.name]
+        if isinstance(value, bool) != (accepted is bool) or not isinstance(value, accepted):
+            raise ConfigError(f"bad {where} config: {f.name} must be {type(f.default).__name__}, "
+                              f"got {type(value).__name__}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad {where} config: {exc}") from None
 
 
@@ -108,7 +125,14 @@ def load_run_config(doc: dict, **overrides) -> RunConfig:
     unknown = sorted(set(doc) - known_sections)
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
-    kwargs = dict(doc.get("run", {}))
+    run = doc.get("run", {})
+    if not isinstance(run, dict):
+        raise ConfigError("section 'run' must be an object")
+    nested = sorted(set(run) & known_sections)
+    if nested:
+        raise ConfigError(f"section(s) nested inside run: {', '.join(nested)}; "
+                          "give them at the top level")
+    kwargs = dict(run)
     if "trace" in doc:
         kwargs["trace"] = dataclass_from_dict(SyntheticTraceConfig, doc["trace"], "trace")
     kwargs["grouping"] = dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
@@ -117,11 +141,7 @@ def load_run_config(doc: dict, **overrides) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             kwargs[key] = value
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = sorted(set(kwargs) - known)
-    if unknown:
-        raise ConfigError(f"unknown key(s) in run: {', '.join(unknown)}")
-    return RunConfig(**kwargs)
+    return dataclass_from_dict(RunConfig, kwargs, "run")
 
 
 def config_digest(cfg: RunConfig) -> str:
@@ -142,48 +162,6 @@ class RunResult:
         return self.manifest["summary"]
 
 
-def _slice_split(split: Split, width: int) -> Split:
-    return Split(split.X_train[:, :width], split.y_train,
-                 split.X_test[:, :width], split.y_test, split.stratified)
-
-
-class _GrowingArm:
-    """Carries one model across steps, extending its input layer each time."""
-
-    def __init__(self, run_cfg: RunConfig):
-        self.cfg = run_cfg
-        self.model: TwoLayerClassifier | None = None
-
-    def train_step(self, split: Split, snapshot_width: int, step_time: int,
-                   train_cfg: TrainConfig) -> TrainOutcome:
-        if self.model is None:
-            # nothing to transfer yet; the first step trains from scratch
-            self.model, outcome = train_full(snapshot_width, split, train_cfg)
-            return outcome
-        if self.cfg.split_bulk_growth and snapshot_width - self.model.features_count > self.cfg.bulk_growth_limit:
-            return self._train_chunked(split, snapshot_width, step_time, train_cfg)
-        extended = extend_input_layer(self.model, snapshot_width, step_time=step_time)
-        self.model, outcome = train_growing(extended, split, train_cfg)
-        return outcome
-
-    def _train_chunked(self, split: Split, snapshot_width: int, step_time: int,
-                       train_cfg: TrainConfig) -> TrainOutcome:
-        # gradual growth: extend and fine-tune in column chunks, reporting
-        # one aggregated outcome for the step
-        total_epochs = 0
-        max_attempts = 0
-        outcome = None
-        width = self.model.features_count
-        while width < snapshot_width:
-            width = min(width + self.cfg.bulk_growth_limit, snapshot_width)
-            extended = extend_input_layer(self.model, width, step_time=step_time)
-            self.model, outcome = train_growing(extended, _slice_split(split, width), train_cfg)
-            total_epochs += outcome.epochs_used
-            max_attempts = max(max_attempts, outcome.attempts_used)
-        return TrainOutcome(outcome.mode, total_epochs, max_attempts, outcome.accuracy,
-                            outcome.group0_f1, outcome.wall_time_s)
-
-
 def run_simulation(cfg: RunConfig) -> RunResult:
     """Replay, retrain per feature-growth step, and write reports.
 
@@ -200,20 +178,22 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     inventory = NodeInventory()
     window: list = []
     history: deque = deque(maxlen=cfg.history_windows)
-    growing_arm = _GrowingArm(cfg)
+    growing_model: TwoLayerClassifier | None = None  # carried across steps
     reports: list[StepReport] = []
     failed_steps = {arm: 0 for arm in cfg.arms}
-    state = {"last_width": 0, "step_index": 0}
+    last_width = 0
+    step_index = 0
 
     def run_step(step_time: int) -> None:
-        step = state["step_index"]
+        nonlocal growing_model, last_width, step_index
+        step = step_index
         tasks = [t for past in history for t in past] + window
         snapshot = build_snapshot(tasks, registry, inventory, cfg.grouping, step_time=step_time)
-        prev_width = state["last_width"]
+        prev_width = last_width
         history.append(list(window))
         window.clear()
-        state["last_width"] = len(registry)
-        state["step_index"] += 1
+        last_width = len(registry)
+        step_index += 1
 
         added = snapshot.features_count - prev_width
         if prev_width and added > cfg.bulk_growth_limit:
@@ -229,8 +209,13 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         for arm in cfg.arms:
             if arm == ARM_GROWING:
                 train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed + 20_000 + step)
-                outcome = growing_arm.train_step(split, snapshot.features_count,
-                                                 step_time, train_cfg)
+                if growing_model is None:
+                    # nothing to transfer yet; the first step trains from scratch
+                    growing_model, outcome = train_full(snapshot.features_count, split, train_cfg)
+                else:
+                    extended = extend_input_layer(growing_model, snapshot.features_count,
+                                                  step_time=step_time)
+                    growing_model, outcome = train_growing(extended, split, train_cfg)
             else:
                 train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed + 30_000 + step)
                 _, outcome = train_full(snapshot.features_count, split, train_cfg)
@@ -260,13 +245,13 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         for event in group:
             if isinstance(event, MachineEvent):
                 apply_machine_event(inventory, registry, event.node, event.attribute, event.value)
-        if len(registry) > state["last_width"]:
+        if len(registry) > last_width:
             if window:
                 run_step(step_time=t)
             else:
                 # growth with nothing to train on (e.g. bootstrap); the new
                 # columns simply fold into the next step
-                state["last_width"] = len(registry)
+                last_width = len(registry)
         for event in group:
             if isinstance(event, TaskEvent):
                 window.append(event.task)
@@ -289,8 +274,8 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         f.write("\n")
 
     models = {}
-    if growing_arm.model is not None:
-        models[ARM_GROWING] = growing_arm.model
+    if growing_model is not None:
+        models[ARM_GROWING] = growing_model
     return RunResult(manifest=manifest, reports=reports, models=models)
 
 

@@ -1,5 +1,5 @@
-"""Shared test utilities: an independent finite-difference gradient oracle
-and a JSONL fixture form of node inventories.
+"""Shared test utilities: an independent finite-difference gradient oracle,
+a JSONL fixture form of node inventories, and a strategy for arbitrary JSON.
 
 The reference loss below is written from scratch with plain dense numpy
 ops, deliberately sharing no code with the library's forward pass, so the
@@ -9,6 +9,7 @@ gradient check compares two independent implementations.
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from covvsched.covv import FeatureRegistry
 from covvsched.neural import Gradients, TwoLayerClassifier
@@ -106,3 +107,12 @@ def inventory_from_jsonl(text: str, registry: FeatureRegistry | None = None) -> 
             raise ValueError(f"line {lineno}: bad inventory record: {exc}") from None
         apply_machine_event(inventory, reg, node, attribute, value)
     return inventory
+
+
+# any JSON value, nested a little
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats(allow_nan=False)
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)

@@ -8,7 +8,7 @@ from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet
 from covvsched.growing import save_state
 from covvsched.neural import init_model
 from covvsched.oracle import GroupingConfig, NodeInventory, apply_machine_event
-from covvsched.trace import build_snapshot, save_snapshot
+from covvsched.trace import build_snapshot, load_snapshot, save_snapshot
 
 
 @pytest.fixture
@@ -260,4 +260,45 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trace": {"node_cout": 3}}))
         code = main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("section,patch", [
+        ("run", [1]),
+        ("run", {"arms": 5}),
+        ("run", {"seed": "x"}),
+        ("run", {"trace": {"node_count": 3}}),
+        ("run", {"trace_path": 5}),
+        ("run", {"train": {"epochs_limit": 5}}),
+        ("train", {"epochs_limit": 2.5}),
+    ], ids=["run-list", "arms-int", "seed-str", "run-trace", "trace-path-int", "run-train",
+            "epochs-float"])
+    def test_bad_run_config_exits_2(self, tmp_path, config_file, section, patch):
+        doc = json.loads(config_file.read_text())
+        doc[section] = {**doc[section], **patch} if isinstance(patch, dict) else patch
+        config_file.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+
+    @pytest.mark.parametrize("command,section", [
+        ("gen-trace", "trace"), ("train", "train"), ("sched-sim", "sched"),
+    ])
+    def test_section_not_an_object_exits_2(self, tmp_path, snapshot_file, command, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: [1]}))
+        out = str(tmp_path / "o")
+        args = {
+            "gen-trace": ["--out", out],
+            "train": ["--data", str(snapshot_file), "--out", out],
+            "sched-sim": ["--trace", out, "--policy", "fifo", "--out", out],
+        }[command]
+        assert main([command, "--config", str(cfg), *args]) == EXIT_DATA
+
+    def test_malformed_extension_history_exits_2(self, tmp_path, snapshot_file):
+        prior = tmp_path / "prior.json"
+        save_state(init_model(load_snapshot(snapshot_file).features_count, seed=1), prior)
+        doc = json.loads(prior.read_text())
+        doc["extension_history"] = [["a", "b", "c"]]
+        prior.write_text(json.dumps(doc))
+        code = main(["train", "--data", str(snapshot_file), "--out", str(tmp_path / "m.json"),
+                     "--model", str(prior)])
         assert code == EXIT_DATA

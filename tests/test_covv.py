@@ -9,7 +9,6 @@ from covvsched.covv import (
     FeatureRegistry,
     Op,
     TaskConstraintSet,
-    align,
     compare_values,
     constraint_from_json,
     constraint_to_json,
@@ -330,24 +329,6 @@ class TestEncodingCache:
         ne = encode_task(TaskConstraintSet(1, (Constraint("AM", Op.NE, ("1",)),)), reg)
         assert eq.tolist() == [1, 1, 0, 1]
         assert ne.tolist() == [0, 0, 1, 0]
-
-
-class TestAlign:
-    def test_pads_with_zeros(self):
-        reg = am_registry(range(7))  # 8 columns
-        bits = np.array([1, 0, 1, 0, 0], dtype=np.uint8)
-        out = align(bits, reg)
-        assert out.tolist() == [1, 0, 1, 0, 0, 0, 0, 0]
-
-    def test_equal_length_unchanged(self):
-        reg = am_registry(range(4))
-        bits = np.array([1, 0, 0, 1, 0], dtype=np.uint8)
-        assert align(bits, reg) is bits
-
-    def test_longer_vector_rejected(self):
-        reg = am_registry(range(4))
-        with pytest.raises(ValueError):
-            align(np.zeros(9, dtype=np.uint8), reg)
 
 
 class TestJsonCodec:

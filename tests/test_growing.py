@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from helpers import json_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covvsched.evalkit import Split, evaluate
 from covvsched.growing import (
@@ -117,6 +122,15 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError, match=name):
             load_state(path)
 
+    def test_integer_too_large_for_a_float_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_state(init_model(4, seed=1), path)
+        doc = json.loads(path.read_text())
+        doc["weights"]["b2"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_state(path)
+
     def test_not_json_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text("not a model")
@@ -131,6 +145,49 @@ class TestSaveLoad:
         save_state(extended, path)
         back = load_state(path)
         assert back.extension_history == [(42, 4, 6)]
+
+    @pytest.mark.parametrize("history", [
+        [["a", "b", "c"]], [[0, 4]], [[0, 4, 6, 8]], [[0, 5, 4]], [[0, 4, 4]], [[0, 4, 7]],
+        [[0, -1, 6]], [[True, 4, 6]], [[0, 4.0, 6]], "abc",
+    ])
+    def test_malformed_extension_history_rejected(self, tmp_path, history):
+        path = tmp_path / "model.json"
+        save_state(extend_input_layer(init_model(4, seed=1), 6, step_time=42), path)
+        doc = json.loads(path.read_text())
+        doc["extension_history"] = history
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_state(path)
+
+
+def _small_ints_or_json():
+    return st.one_of(json_values, st.integers(-1, 4),
+                     st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=4), max_size=2))
+
+
+class TestLoadStateFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rejects_or_returns_well_formed_history(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.json")
+            save_state(extend_input_layer(init_model(2, seed=1), 3, step_time=7), path)
+            with open(path, encoding="utf-8") as f:
+                doc = json.load(f)
+            # any field, top-level, a weight array or one of the history record's values
+            fields = ([(doc, key) for key in doc] + [(doc["weights"], key) for key in doc["weights"]]
+                      + [(doc["extension_history"][0], i) for i in range(3)])
+            for target, key in data.draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2)):
+                target[key] = data.draw(_small_ints_or_json())
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(doc, f)
+            try:
+                model = load_state(path)
+            except ModelFormatError:
+                return
+        for rec in model.extension_history:
+            assert len(rec) == 3 and all(type(v) is int for v in rec)
+            assert 0 <= rec[1] < rec[2] <= model.features_count
 
 
 class TestExtendInputLayer:

@@ -1,11 +1,18 @@
+import dataclasses
 import hashlib
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import json_values
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covvsched.covv import Constraint, Op, TaskConstraintSet
+from covvsched.evalkit import SplitConfig
 from covvsched.growing import TrainConfig
 from covvsched.oracle import GroupingConfig
 from covvsched.pipeline import (
@@ -16,9 +23,11 @@ from covvsched.pipeline import (
     REPORT_JSON,
     RunConfig,
     config_digest,
+    dataclass_from_dict,
     load_run_config,
     run_simulation,
 )
+from covvsched.schedsim import SchedulerConfig
 from covvsched.trace import (
     ConfigError,
     MachineEvent,
@@ -114,16 +123,6 @@ class TestRunSimulation:
             run_simulation(small_run(tmp_path, trace=self.bulk_growth_trace()))
         assert any("adds 45 features at once" in r.message for r in caplog.records)
 
-    def test_split_bulk_growth_still_one_row_per_step(self, tmp_path):
-        result = run_simulation(small_run(tmp_path, trace=self.bulk_growth_trace(),
-                                          split_bulk_growth=True))
-        growing = [r for r in result.reports if r.model == ARM_GROWING]
-        times = [r.step_time for r in growing]
-        assert len(times) == len(set(times))
-        final = result.models[ARM_GROWING]
-        # chunked extensions: several history entries within one step
-        assert len(final.extension_history) >= 2
-
 
 class TestRunConfigValidation:
     def test_requires_trace_or_path(self):
@@ -157,6 +156,117 @@ class TestRunConfigValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="node_cout"):
             load_run_config({"trace": {"node_cout": 10}})
+
+    @pytest.mark.parametrize("run", [
+        [1], {"arms": 5}, {"seed": "x"}, {"seed": True}, {"seed": 1.0}, {"trace_path": 5},
+        {"trace": {"node_count": 3}}, {"train": {"epochs_limit": 5}},
+    ])
+    def test_bad_run_section_rejected(self, run):
+        doc = {"run": run} if isinstance(run, list) else {"run": {"trace_path": "t.jsonl", **run}}
+        with pytest.raises(ConfigError):
+            load_run_config(doc)
+
+    @pytest.mark.parametrize("key,value", [
+        ("epochs_limit", 2.5), ("epochs_limit", True), ("lr", "0.05"), ("activation", 1),
+    ])
+    def test_scalar_of_wrong_type_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            dataclass_from_dict(TrainConfig, {key: value}, "train")
+
+    def test_infinite_growth_time_rejected(self):
+        with pytest.raises(ConfigError):
+            load_run_config({"trace": {"growth_schedule": [[float("inf"), 1]]}})
+
+    def test_float_field_takes_an_int(self):
+        assert dataclass_from_dict(TrainConfig, {"lr": 1}, "train").lr == 1
+
+
+_CONFIG_SECTIONS = {"trace": SyntheticTraceConfig, "grouping": GroupingConfig,
+                    "train": TrainConfig, "split": SplitConfig, "sched": SchedulerConfig,
+                    "run": RunConfig}
+
+
+def _field_values(f):
+    """Mostly values of the field's own JSON type, now and then arbitrary JSON."""
+    own = {
+        int: st.integers(0, 9),
+        float: st.floats(0, 1) | st.integers(0, 1),
+        str: st.text(max_size=3) | st.sampled_from(["fifo", "relu"]),
+        tuple: st.lists(st.sampled_from(["growing", "fully_retrain"]), max_size=2),
+    }.get(type(f.default), st.none() | st.text(max_size=3))
+    return st.integers(0, 9).flatmap(lambda roll: json_values if roll == 0 else own)
+
+
+@st.composite
+def _section_values(draw, cls):
+    """Mostly some of a config section's own keys; now and then unknown keys
+    and section names, or arbitrary JSON."""
+    roll = draw(st.integers(0, 9))
+    if roll == 0:
+        return draw(json_values)
+    if roll == 1:
+        keys = st.sampled_from([*_CONFIG_SECTIONS, "bogus"])
+        return draw(st.dictionaries(keys, json_values, min_size=1, max_size=2))
+    fields = [f for f in dataclasses.fields(cls) if f.name not in _CONFIG_SECTIONS]
+    return {f.name: draw(_field_values(f))
+            for f in draw(st.lists(st.sampled_from(fields), unique=True, max_size=4))}
+
+
+@st.composite
+def _config_docs(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(json_values)
+    names = draw(st.lists(st.sampled_from(sorted(_CONFIG_SECTIONS)), unique=True))
+    return {name: draw(_section_values(_CONFIG_SECTIONS[name])) for name in names}
+
+
+def assert_scalars_typed(obj):
+    """Every field of a config dataclass (and of those nested in it) whose
+    default is a bool, int, float or str holds a value of that JSON type; a
+    float field may hold an int, and a bool is never a number."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            assert_scalars_typed(value)
+        elif type(f.default) is float:
+            assert type(value) in (int, float), (f.name, value)
+        elif type(f.default) in (bool, int, str):
+            assert type(value) is type(f.default), (f.name, value)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=_config_docs())
+    def test_run_config_is_typed_or_rejected(self, doc):
+        try:
+            cfg = load_run_config(doc)
+        except ConfigError:
+            return
+        assert_scalars_typed(cfg)
+        assert cfg.trace is None or isinstance(cfg.trace, SyntheticTraceConfig)
+        assert cfg.trace_path is None or isinstance(cfg.trace_path, str)
+
+    @settings(max_examples=300, deadline=None)
+    @given(section=_section_values(SchedulerConfig))
+    def test_sched_config_is_typed_or_rejected(self, section):
+        try:
+            cfg = dataclass_from_dict(SchedulerConfig, section, "sched")
+        except ConfigError:
+            return
+        assert_scalars_typed(cfg)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_config_example_loads():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"^### Config file\n+```json\n(.*?)^```", text, re.M | re.S)
+    assert block, "no JSON block under the README's config heading"
+    doc = json.loads(block.group(1))
+    cfg = load_run_config(doc)
+    assert cfg.trace.task_count == doc["trace"]["task_count"]
+    dataclass_from_dict(SchedulerConfig, doc["sched"], "sched")
 
 
 def golden_trace():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import json_values
 
 from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet, encode_task
 from covvsched.oracle import (
@@ -107,15 +108,6 @@ class TestParseEvents:
         assert serialize_events(events) == data
 
 
-# any JSON value, nested a little
-_json = st.recursive(
-    st.none() | st.booleans() | st.integers(-2**64, 2**64) | st.floats(allow_nan=False)
-    | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=4), children, max_size=3),
-    max_leaves=8,
-)
-
-
 _VALID_CONSTRAINTS = (("EQ", ["1"]), ("IN", ["1", "2"]), ("PRESENT", []))
 
 
@@ -135,13 +127,13 @@ def _near_valid_events(draw):
                "dur": draw(st.integers(0, 9)), "cons": cons}
     fields = [(doc, key) for key in doc] + [(c, key) for c in doc.get("cons", []) for key in c]
     for target, key in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2)):
-        target[key] = draw(_json)
+        target[key] = draw(json_values)
     return doc
 
 
 class TestParseFuzz:
     @settings(max_examples=400, deadline=None)
-    @given(docs=st.lists(st.one_of(_json, _near_valid_events()), min_size=1, max_size=4))
+    @given(docs=st.lists(st.one_of(json_values, _near_valid_events()), min_size=1, max_size=4))
     def test_rejects_with_trace_format_error_or_yields_typed_events(self, docs):
         text = "".join(json.dumps(doc) + "\n" for doc in docs)
         try:
