@@ -19,9 +19,7 @@ import numpy as np
 from .evalkit import SplitConfig, evaluate, stratified_split
 from .growing import (
     MODE_FAILED,
-    ModelFormatError,
     TrainConfig,
-    extend_input_layer,
     load_state,
     save_state,
     train_full,
@@ -39,7 +37,6 @@ from .schedsim import (
 from .trace import (
     ConfigError,
     SyntheticTraceConfig,
-    TraceFormatError,
     generate_trace,
     load_snapshot,
     read_trace,
@@ -128,12 +125,10 @@ def _cmd_train(args) -> int:
     snapshot = load_snapshot(args.data)
     split = stratified_split(snapshot, split_cfg)
     if args.model:
-        prior = load_state(args.model)
-        extended = extend_input_layer(prior, snapshot.features_count,
-                                      step_time=snapshot.step_time)
-        model, outcome = train_growing(extended, split, train_cfg)
+        model, outcome = train_growing(load_state(args.model), split, train_cfg,
+                                       step_time=snapshot.step_time)
     else:
-        model, outcome = train_full(snapshot.features_count, split, train_cfg)
+        model, outcome = train_full(split, train_cfg)
     save_state(model, args.out)
     f1 = "n/a" if outcome.group0_f1 is None else f"{outcome.group0_f1:.5f}"
     print(f"mode={outcome.mode} epochs={outcome.epochs_used} attempts={outcome.attempts_used} "
@@ -286,13 +281,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TraceFormatError, ModelFormatError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        # TraceFormatError, ModelFormatError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -38,10 +38,6 @@ class Split:
     y_test: np.ndarray
     stratified: bool  # False when the per-class minimum forced a plain random split
 
-    @property
-    def features_count(self) -> int:
-        return self.X_train.shape[1]
-
 
 def stratified_split(snapshot: DatasetSnapshot, cfg: SplitConfig) -> Split:
     """Seeded holdout split preserving class proportions when feasible.

@@ -2,18 +2,18 @@
 
 A trained model survives feature growth by zero-padding its input weight
 matrix on the right, which leaves predictions on old inputs bitwise
-unchanged. Retraining then runs with the output layer frozen and the
-pretrained input columns' gradients damped; if the transferred model cannot
-reach the acceptance thresholds within the epoch limit it is discarded and
-fresh models are trained from scratch, fail-fast, up to a bounded number of
-attempts.
+unchanged. `train_growing` pads the carried model to the width of the
+step's data itself, then retrains with the output layer frozen and the
+carried model's own input columns' gradients damped; if the transferred
+model cannot reach the acceptance thresholds within the epoch limit it is
+discarded and fresh models are trained from scratch, fail-fast, up to a
+bounded number of attempts. Every width is read from the training data.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +84,6 @@ class TrainOutcome:
     attempts_used: int
     accuracy: float
     group0_f1: float | None
-    wall_time_s: float
 
 
 def save_state(model: TwoLayerClassifier, path) -> None:
@@ -152,7 +151,7 @@ def load_state(path) -> TwoLayerClassifier:
     if activation not in ACTIVATIONS:
         raise ModelFormatError(f"{path}: unknown activation {activation!r}")
     for rec in history:
-        # the last record's old width is the pretrained width train_growing uses
+        # a model file is outside input: each record must describe a real widening
         if not (len(rec) == 3 and all(type(v) is int for v in rec)
                 and 0 <= rec[1] < rec[2] <= w1.shape[1]):
             raise ModelFormatError(f"{path}: bad extension_history record {list(rec)!r}")
@@ -217,18 +216,14 @@ def _gate_passes(metrics: Metrics, cfg: TrainConfig) -> bool:
     return f1 is None or f1 > cfg.accepted_group0_f1
 
 
-def _run_attempts(split: Split, cfg: TrainConfig, features_count: int,
-                  transfer_model: TwoLayerClassifier | None,
-                  pretrained_features: int | None) -> tuple[TwoLayerClassifier, TrainOutcome]:
+def _run_attempts(split: Split, cfg: TrainConfig,
+                  transfer_model: TwoLayerClassifier | None = None,
+                  pretrained_features: int = 0) -> tuple[TwoLayerClassifier, TrainOutcome]:
     if len(split.y_train) == 0:
         raise ValueError("empty training set")
-    if split.X_train.shape[1] != features_count:
-        raise ValueError(
-            f"training data width {split.X_train.shape[1]} does not match {features_count}"
-        )
-    start = time.perf_counter()
     X_train = np.asarray(split.X_train, dtype=np.float64)
     X_test = np.asarray(split.X_test, dtype=np.float64)
+    features_count = X_train.shape[1]
     class_weights = class_weight_vector(cfg.group0_weight)
     activation = transfer_model.activation if transfer_model is not None else cfg.activation
     total_epochs = 0
@@ -249,53 +244,40 @@ def _run_attempts(split: Split, cfg: TrainConfig, features_count: int,
             model = init_model(features_count, seed=cfg.seed + attempt, activation=activation)
             multipliers = np.ones(features_count)
 
-        # evaluate before any epoch: an already-good model trains for 0 epochs
-        metrics = evaluate(model, X_test, split.y_test)
-        if _gate_passes(metrics, cfg):
-            mode = MODE_GROWN if transfer else MODE_FULLY_RETRAINED
-            return model, TrainOutcome(mode, total_epochs, attempt, metrics.accuracy,
-                                       metrics.group0_f1, time.perf_counter() - start)
-
         adam = AdamState(lr=cfg.lr)
         rng = np.random.default_rng(cfg.seed + attempt)
-        for _ in range(cfg.epochs_limit):
-            run_training_epoch(model, adam, X_train, split.y_train, class_weights,
-                               multipliers, rng, cfg.batch_size)
-            total_epochs += 1
+        # evaluate before any epoch too: an already-good model trains for 0 epochs
+        for epoch in range(cfg.epochs_limit + 1):
+            if epoch:
+                run_training_epoch(model, adam, X_train, split.y_train, class_weights,
+                                   multipliers, rng, cfg.batch_size)
+                total_epochs += 1
             metrics = evaluate(model, X_test, split.y_test)
             if _gate_passes(metrics, cfg):
                 mode = MODE_GROWN if transfer else MODE_FULLY_RETRAINED
                 return model, TrainOutcome(mode, total_epochs, attempt, metrics.accuracy,
-                                           metrics.group0_f1, time.perf_counter() - start)
+                                           metrics.group0_f1)
 
     return model, TrainOutcome(MODE_FAILED, total_epochs, cfg.max_attempts,
-                               metrics.accuracy, metrics.group0_f1,
-                               time.perf_counter() - start)
+                               metrics.accuracy, metrics.group0_f1)
 
 
-def train_growing(model: TwoLayerClassifier, split: Split,
-                  cfg: TrainConfig) -> tuple[TwoLayerClassifier, TrainOutcome]:
-    """Fine-tune a pre-trained, just-extended model on a step's dataset.
+def train_growing(model: TwoLayerClassifier, split: Split, cfg: TrainConfig,
+                  step_time: int = 0) -> tuple[TwoLayerClassifier, TrainOutcome]:
+    """Extend the carried `model` to the split's width and fine-tune it.
 
-    The output layer stays frozen and pretrained input columns train at
-    cfg.pretrained_gradient_rate; the rest train at rate 1.0. The pretrained
-    width is the old width recorded by the most recent extension, or the
-    whole width if the model was never extended. An extension to equal
-    width records nothing, so a model that did not grow this step treats
-    its previous extension's columns as new again. Takes ownership of
-    `model`; weights are updated in place.
+    The extension is recorded at `step_time`, and `model` itself is left
+    untouched. The output layer stays frozen; the carried model's own
+    input columns train at cfg.pretrained_gradient_rate and only the
+    columns this extension adds train at rate 1.0, so a step without
+    growth damps every column. A split narrower than the model is an
+    error.
     """
-    if model.features_count != split.X_train.shape[1]:
-        raise ValueError(
-            f"model width {model.features_count} does not match data width {split.X_train.shape[1]}"
-        )
-    if model.extension_history:
-        pretrained_features = model.extension_history[-1][1]
-    else:
-        pretrained_features = model.features_count
-    return _run_attempts(split, cfg, model.features_count, model, pretrained_features)
+    extended = extend_input_layer(model, split.X_train.shape[1], step_time=step_time)
+    return _run_attempts(split, cfg, extended, model.features_count)
 
 
-def train_full(features_count: int, split: Split, cfg: TrainConfig) -> tuple[TwoLayerClassifier, TrainOutcome]:
-    """Train from scratch: fresh seeded weights, everything trainable."""
-    return _run_attempts(split, cfg, features_count, None, None)
+def train_full(split: Split, cfg: TrainConfig) -> tuple[TwoLayerClassifier, TrainOutcome]:
+    """Train from scratch at the split's width: fresh seeded weights,
+    everything trainable."""
+    return _run_attempts(split, cfg)

@@ -3,10 +3,10 @@
 Replays a trace in time order. Whenever the feature registry grows and
 tasks have accumulated since the previous step, the accumulated window
 (merged with a sliding history of recent windows) becomes a dataset
-snapshot: it is split, the growing arm extends its carried model and
-fine-tunes, the fully-retrain arm trains from scratch, and both arms are
-evaluated into step reports. A final step flushes whatever window remains
-at end of trace.
+snapshot: it is split, the growing arm extends its carried model to the
+snapshot's width and fine-tunes it, the fully-retrain arm trains from
+scratch, and both arms are evaluated into step reports. A final step
+flushes whatever window remains at end of trace.
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ import numpy as np
 from . import __version__
 from .covv import FeatureRegistry
 from .evalkit import SplitConfig, StepReport, stratified_split, write_report
-from .growing import (
-    MODE_FAILED,
-    TrainConfig,
-    extend_input_layer,
-    train_full,
-    train_growing,
-)
+from .growing import MODE_FAILED, TrainConfig, train_full, train_growing
 from .neural import TwoLayerClassifier
 from .oracle import GroupingConfig, NodeInventory, apply_machine_event
 from .trace import (
@@ -54,6 +48,8 @@ REPORT_CSV = "step_reports.csv"
 REPORT_JSON = "step_reports.json"
 MANIFEST = "manifest.json"
 
+BULK_GROWTH_WARNING = 40  # warn when one step adds more features
+
 
 @dataclass
 class RunConfig:
@@ -66,7 +62,6 @@ class RunConfig:
     out_dir: str = "run-output"
     arms: tuple = ARMS
     history_windows: int = 3  # previous windows merged into each snapshot
-    bulk_growth_limit: int = 40  # warn when one step adds more features
 
     def __post_init__(self):
         self.arms = tuple(self.arms)
@@ -81,8 +76,6 @@ class RunConfig:
             raise ConfigError(f"trace_path must be a string, got {type(self.trace_path).__name__}")
         if self.history_windows < 0:
             raise ConfigError(f"history_windows must be >= 0, got {self.history_windows}")
-        if self.bulk_growth_limit < 1:
-            raise ConfigError(f"bulk_growth_limit must be >= 1, got {self.bulk_growth_limit}")
 
 
 # JSON types a config value may take, by the type of its field's default
@@ -196,9 +189,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         step_index += 1
 
         added = snapshot.features_count - prev_width
-        if prev_width and added > cfg.bulk_growth_limit:
+        if prev_width and added > BULK_GROWTH_WARNING:
             log.warning("step %d adds %d features at once (limit %d); accuracy may suffer",
-                        step, added, cfg.bulk_growth_limit)
+                        step, added, BULK_GROWTH_WARNING)
         if len(snapshot) < 4:
             log.warning("skipping step %d at t=%d: only %d usable row(s)",
                         step, step_time, len(snapshot))
@@ -211,14 +204,13 @@ def run_simulation(cfg: RunConfig) -> RunResult:
                 train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed + 20_000 + step)
                 if growing_model is None:
                     # nothing to transfer yet; the first step trains from scratch
-                    growing_model, outcome = train_full(snapshot.features_count, split, train_cfg)
+                    growing_model, outcome = train_full(split, train_cfg)
                 else:
-                    extended = extend_input_layer(growing_model, snapshot.features_count,
-                                                  step_time=step_time)
-                    growing_model, outcome = train_growing(extended, split, train_cfg)
+                    growing_model, outcome = train_growing(growing_model, split, train_cfg,
+                                                           step_time=step_time)
             else:
                 train_cfg = dataclasses.replace(cfg.train, seed=cfg.seed + 30_000 + step)
-                _, outcome = train_full(snapshot.features_count, split, train_cfg)
+                _, outcome = train_full(split, train_cfg)
             if outcome.mode == MODE_FAILED:
                 failed_steps[arm] += 1
                 log.warning("step %d arm %s failed after %d attempts; run continues",

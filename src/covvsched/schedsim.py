@@ -198,8 +198,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     # nodes with slots_free > 0; never iterated, since set order is not id order
     free_nodes = set(slots_free)
     running = 0
-    releases: list[tuple[int, int, int]] = []  # (end_tick, seq, node)
-    release_seq = 0
+    releases: list[tuple[int, int]] = []  # (end_tick, node)
     refresh_due: list[int] = []  # ticks at which the classifier re-snapshots
 
     high = _Queue()
@@ -212,7 +211,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
         classifier.refresh(inventory, registry)
 
     def dispatch_queue(queue: _Queue, tick: int, budget: int) -> tuple[int, int]:
-        nonlocal release_seq, running, unplaced
+        nonlocal running, unplaced
         placed = 0
         kept: list[_QueuedTask] = []
         for pos, rec in enumerate(queue):
@@ -233,8 +232,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
             if slots_free[node] == 0:
                 free_nodes.discard(node)
             running += 1
-            release_seq += 1
-            heapq.heappush(releases, (tick + rec.duration_ticks, release_seq, node))
+            heapq.heappush(releases, (tick + rec.duration_ticks, node))
             samples.append(LatencySample(
                 task_id=rec.task.task_id,
                 true_group=rec.true_group,
@@ -293,7 +291,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
             classifier.refresh(inventory, registry)
 
         while releases and releases[0][0] <= tick:
-            _, _, node = heapq.heappop(releases)
+            _, node = heapq.heappop(releases)
             slots_free[node] += 1
             free_nodes.add(node)
             running -= 1

@@ -287,18 +287,21 @@ def generate_trace(cfg: SyntheticTraceConfig) -> bytes:
 class DatasetSnapshot:
     """Encoded and labeled tasks for one retraining step.
 
-    All rows share the registry length at build time; rows with zero
-    suitable nodes are dropped and only counted.
+    All rows share the registry length at build time, which is the width
+    of `X`; rows with zero suitable nodes are dropped and only counted.
     """
 
     X: np.ndarray  # [n, features] uint8
     y: np.ndarray  # [n] int64, values 0..25
-    features_count: int
     step_time: int = 0
     dropped_unschedulable: int = 0
 
     def __len__(self) -> int:
         return len(self.y)
+
+    @property
+    def features_count(self) -> int:
+        return self.X.shape[1]
 
 
 def build_snapshot(
@@ -329,15 +332,13 @@ def build_snapshot(
         rows.append(bits)
         labels.append(label)
 
-    width = len(registry)
-    X = np.zeros((len(rows), width), dtype=np.uint8)
+    X = np.zeros((len(rows), len(registry)), dtype=np.uint8)
     for i, bits in enumerate(rows):
         X[i, : len(bits)] = bits
     y = np.asarray(labels, dtype=np.int64)
     if dropped:
         log.warning("dropped %d unschedulable task(s) from snapshot at t=%d", dropped, step_time)
-    return DatasetSnapshot(X=X, y=y, features_count=width, step_time=step_time,
-                           dropped_unschedulable=dropped)
+    return DatasetSnapshot(X=X, y=y, step_time=step_time, dropped_unschedulable=dropped)
 
 
 def save_snapshot(snapshot: DatasetSnapshot, path) -> None:
@@ -345,7 +346,6 @@ def save_snapshot(snapshot: DatasetSnapshot, path) -> None:
         path,
         X=snapshot.X.astype(np.uint8),
         y=snapshot.y.astype(np.int64),
-        features_count=np.int64(snapshot.features_count),
         step_time=np.int64(snapshot.step_time),
         dropped_unschedulable=np.int64(snapshot.dropped_unschedulable),
     )
@@ -357,14 +357,13 @@ def load_snapshot(path) -> DatasetSnapshot:
             snapshot = DatasetSnapshot(
                 X=data["X"].astype(np.uint8),
                 y=data["y"].astype(np.int64),
-                features_count=int(data["features_count"]),
                 step_time=int(data["step_time"]),
                 dropped_unschedulable=int(data["dropped_unschedulable"]),
             )
         except KeyError as exc:
             raise ValueError(f"snapshot file {path} missing array {exc}") from None
-    if snapshot.X.ndim != 2 or snapshot.X.shape[1] != snapshot.features_count:
-        raise ValueError(f"snapshot file {path} has inconsistent shapes")
+    if snapshot.X.ndim != 2:
+        raise ValueError(f"snapshot file {path}: X is {snapshot.X.ndim}-dimensional, expected 2")
     if len(snapshot.X) != len(snapshot.y):
         raise ValueError(f"snapshot file {path} has {len(snapshot.X)} rows but {len(snapshot.y)} labels")
     return snapshot

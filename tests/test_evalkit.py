@@ -19,7 +19,7 @@ from covvsched.trace import DatasetSnapshot
 def snapshot_from_labels(y, features=4):
     y = np.asarray(y, dtype=np.int64)
     X = np.zeros((len(y), features), dtype=np.uint8)
-    return DatasetSnapshot(X=X, y=y, features_count=features)
+    return DatasetSnapshot(X=X, y=y)
 
 
 class TestStratifiedSplit:

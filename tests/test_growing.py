@@ -230,14 +230,13 @@ class TestTrainGrowing:
     def test_already_good_model_trains_zero_epochs(self):
         X, y = separable_data(seed=1)
         split = make_split(X, y)
-        model, first = train_full(3, split, TrainConfig(seed=1))
+        model, first = train_full(split, TrainConfig(seed=1))
         assert first.mode == MODE_FULLY_RETRAINED
-        extended = extend_input_layer(model, 5)
         wider = Split(np.hstack([split.X_train, np.zeros((len(split.X_train), 2))]),
                       split.y_train,
                       np.hstack([split.X_test, np.zeros((len(split.X_test), 2))]),
                       split.y_test, stratified=True)
-        grown, outcome = train_growing(extended, wider, TrainConfig(seed=2))
+        grown, outcome = train_growing(model, wider, TrainConfig(seed=2))
         assert outcome.mode == MODE_GROWN
         assert outcome.epochs_used == 0
         assert outcome.attempts_used == 1
@@ -245,7 +244,7 @@ class TestTrainGrowing:
     def test_learns_new_features_within_a_few_epochs(self):
         X, y = separable_data(seed=2)
         split = make_split(X, y)
-        model, _ = train_full(3, split, TrainConfig(seed=3))
+        model, _ = train_full(split, TrainConfig(seed=3))
         # after growth the labels hinge on the new columns alone
         rng = np.random.default_rng(4)
         n = 240
@@ -254,8 +253,7 @@ class TestTrainGrowing:
         X2[y2 == 0, 3] = 1.0
         X2[y2 == 1, 4] = 1.0
         split2 = make_split(X2, y2, seed=4)
-        extended = extend_input_layer(model, 5)
-        grown, outcome = train_growing(extended, split2, TrainConfig(seed=5))
+        grown, outcome = train_growing(model, split2, TrainConfig(seed=5))
         assert outcome.mode == MODE_GROWN
         assert 1 <= outcome.epochs_used <= 20
         assert outcome.accuracy > 0.95
@@ -265,9 +263,9 @@ class TestTrainGrowing:
         X = (rng.random((120, 4)) < 0.5).astype(float)
         y = rng.integers(0, 26, size=120)
         split = make_split(X, y, seed=6)
-        model, _ = train_full(4, split, TrainConfig(seed=7, epochs_limit=1, max_attempts=1))
+        model, _ = train_full(split, TrainConfig(seed=7, epochs_limit=1, max_attempts=1))
         cfg = TrainConfig(seed=8, epochs_limit=2, max_attempts=2)
-        _, outcome = train_growing(extend_input_layer(model, 4), split, cfg)
+        _, outcome = train_growing(model, split, cfg)
         assert outcome.mode == MODE_FAILED
         assert outcome.attempts_used == 2
         assert outcome.epochs_used == 4
@@ -284,13 +282,41 @@ class TestTrainGrowing:
         with pytest.raises(ValueError, match="empty training set"):
             train_growing(init_model(3, seed=1), split, TrainConfig())
 
+    def test_step_without_growth_damps_every_column(self):
+        # the carried model grew at an earlier step; this step adds nothing
+        carried = extend_input_layer(init_model(3, seed=1), 5, step_time=7)
+        rng = np.random.default_rng(18)
+        X = (rng.random((80, 5)) < 0.5).astype(float)
+        y = rng.integers(0, 26, size=80)
+        before = carried.layer1.weights.copy()
+        cfg = TrainConfig(seed=2, epochs_limit=1, max_attempts=1, pretrained_gradient_rate=0.0)
+        trained, outcome = train_growing(carried, make_split(X, y, seed=18), cfg)
+        assert outcome.mode == MODE_FAILED
+        assert outcome.epochs_used == 1
+        assert np.array_equal(trained.layer1.weights, before)
+
+    def test_carried_model_untouched(self):
+        rng = np.random.default_rng(19)
+        X = (rng.random((80, 5)) < 0.5).astype(float)
+        y = rng.integers(0, 26, size=80)
+        carried = init_model(3, seed=1)
+        before = carried.layer1.weights.copy()
+        cfg = TrainConfig(seed=3, epochs_limit=1, max_attempts=1, pretrained_gradient_rate=0.0)
+        trained, outcome = train_growing(carried, make_split(X, y, seed=19), cfg, step_time=9)
+        assert outcome.mode == MODE_FAILED
+        assert np.array_equal(carried.layer1.weights, before)
+        assert carried.extension_history == []
+        assert trained.extension_history == [(9, 3, 5)]
+        assert np.array_equal(trained.layer1.weights[:, :3], before)
+        assert trained.layer1.weights[:, 3:].any()
+
 
 class TestTrainFull:
     def test_deterministic(self):
         X, y = separable_data(seed=9)
         split = make_split(X, y, seed=9)
-        a, _ = train_full(3, split, TrainConfig(seed=10))
-        b, _ = train_full(3, split, TrainConfig(seed=10))
+        a, _ = train_full(split, TrainConfig(seed=10))
+        b, _ = train_full(split, TrainConfig(seed=10))
         assert np.array_equal(a.layer1.weights, b.layer1.weights)
         assert np.array_equal(a.layer2.weights, b.layer2.weights)
 
@@ -298,7 +324,7 @@ class TestTrainFull:
         X, y = separable_data(seed=11)
         assert perceptron_separates(X, y)
         split = make_split(X, y, seed=11)
-        _, outcome = train_full(3, split, TrainConfig(seed=12))
+        _, outcome = train_full(split, TrainConfig(seed=12))
         assert outcome.mode == MODE_FULLY_RETRAINED
         assert outcome.epochs_used <= TrainConfig().epochs_limit
         assert outcome.accuracy > 0.95
@@ -307,7 +333,7 @@ class TestTrainFull:
     def test_outcome_metrics_match_recomputation(self):
         X, y = separable_data(seed=13)
         split = make_split(X, y, seed=13)
-        model, outcome = train_full(3, split, TrainConfig(seed=14))
+        model, outcome = train_full(split, TrainConfig(seed=14))
         metrics = evaluate(model, split.X_test.astype(float), split.y_test)
         assert metrics.accuracy == outcome.accuracy
         assert metrics.group0_f1 == outcome.group0_f1
@@ -320,7 +346,7 @@ class TestTrainFull:
         X[y == 1, 0] = 1.0
         X[y == 2, 1] = 1.0
         split = make_split(X, y, seed=15)
-        _, outcome = train_full(4, split, TrainConfig(seed=16))
+        _, outcome = train_full(split, TrainConfig(seed=16))
         assert outcome.mode == MODE_FULLY_RETRAINED
         assert outcome.group0_f1 is None
 

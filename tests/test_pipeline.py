@@ -173,6 +173,11 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError, match=key):
             dataclass_from_dict(TrainConfig, {key: value}, "train")
 
+    def test_removed_bulk_growth_limit_rejected(self):
+        # the bulk-growth warning threshold is a constant, not a config key
+        with pytest.raises(ConfigError, match="bulk_growth_limit"):
+            load_run_config({"run": {"trace_path": "t.jsonl", "bulk_growth_limit": 40}})
+
     def test_infinite_growth_time_rejected(self):
         with pytest.raises(ConfigError):
             load_run_config({"trace": {"growth_schedule": [[float("inf"), 1]]}})

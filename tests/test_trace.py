@@ -328,6 +328,17 @@ class TestSnapshotFiles:
         assert back.features_count == snap.features_count
         assert back.step_time == 77
 
+    def test_file_with_features_count_array_loads(self, tmp_path):
+        # files written before the width became a property of X carry it as an array
+        path = tmp_path / "old.npz"
+        np.savez(path, X=np.ones((3, 4), dtype=np.uint8), y=np.zeros(3, dtype=np.int64),
+                 features_count=np.int64(4), step_time=np.int64(5),
+                 dropped_unschedulable=np.int64(1))
+        back = load_snapshot(path)
+        assert back.features_count == 4
+        assert len(back) == 3
+        assert back.step_time == 5
+
     def test_missing_array_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         np.savez(path, X=np.zeros((1, 2)))
