@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neural import CLASS_COUNT, TwoLayerClassifier, forward
+from .neural import CLASS_COUNT, TwoLayerClassifier, forward_pass
 from .trace import DatasetSnapshot
 
 log = logging.getLogger(__name__)
@@ -140,14 +140,16 @@ def metrics_from_confusion(confusion: np.ndarray) -> Metrics:
                    precision=precision, recall=recall, f1=f1, macro_f1=macro_f1)
 
 
-def evaluate(model: TwoLayerClassifier, X, y) -> Metrics:
-    """Argmax predictions scored against labels via the confusion matrix."""
+def evaluate(model: TwoLayerClassifier, X, y, rows=None) -> Metrics:
+    """Argmax predictions scored against labels via the confusion matrix.
+
+    `rows`, when given, are X's rows as `neural._prepared_rows` returns them.
+    """
     y = np.asarray(y, dtype=np.int64).ravel()
     if len(y) == 0:
         raise ValueError("empty test set")
-    X = np.asarray(X, dtype=np.float64)
-    logits = forward(model, X)
-    predictions = np.argmax(np.atleast_2d(logits), axis=1)
+    logits = forward_pass(model, X, rows).logits
+    predictions = np.argmax(logits, axis=1)
     confusion = np.zeros((CLASS_COUNT, CLASS_COUNT), dtype=np.int64)
     np.add.at(confusion, (y, predictions), 1)
     return metrics_from_confusion(confusion)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ from .neural import (
     AdamState,
     DenseLayer,
     TwoLayerClassifier,
+    _prepared_rows,
     adam_step,
     apply_column_multipliers,
     backward,
@@ -61,6 +63,11 @@ class TrainConfig:
     activation: str = "identity"
 
     def __post_init__(self):
+        # json reads NaN and Infinity; either would train to non-finite weights
+        for name in ("lr", "group0_weight"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not 0.0 < self.accepted_accuracy <= 1.0:
             raise ValueError(f"accepted_accuracy must be in (0,1], got {self.accepted_accuracy}")
         if not 0.0 < self.accepted_group0_f1 <= 1.0:
@@ -191,17 +198,22 @@ def extend_input_layer(model: TwoLayerClassifier, new_features_count: int,
 def run_training_epoch(model: TwoLayerClassifier, adam: AdamState, X: np.ndarray,
                        y: np.ndarray, class_weights: np.ndarray,
                        multipliers: np.ndarray, rng: np.random.Generator,
-                       batch_size: int) -> None:
+                       batch_size: int, rows=None) -> None:
     """One shuffled pass over the training set.
 
-    The input-layer weight gradient is scaled column-wise before the
-    optimizer step; the bias gradient is untouched and frozen layers are
-    skipped inside the optimizer.
+    `rows` are X's rows as `neural._prepared_rows` returns them, prepared
+    here when not given; only each batch of X is cast to float64. The
+    input-layer weight gradient is scaled column-wise before the optimizer
+    step; the bias gradient is untouched and frozen layers are skipped
+    inside the optimizer.
     """
+    if rows is None:
+        rows = _prepared_rows(X)
     order = rng.permutation(len(y))
     for start in range(0, len(order), batch_size):
         idx = order[start:start + batch_size]
-        cache = forward_pass(model, X[idx])
+        batch = np.asarray(X[idx], dtype=np.float64)
+        cache = forward_pass(model, batch, [rows[i] for i in idx.tolist()])
         _, dlogits = weighted_cross_entropy(cache.logits, y[idx], class_weights)
         grads = backward(model, cache, dlogits)
         grads.w1 = apply_column_multipliers(grads.w1, multipliers)
@@ -221,9 +233,12 @@ def _run_attempts(split: Split, cfg: TrainConfig,
                   pretrained_features: int = 0) -> tuple[TwoLayerClassifier, TrainOutcome]:
     if len(split.y_train) == 0:
         raise ValueError("empty training set")
-    X_train = np.asarray(split.X_train, dtype=np.float64)
-    X_test = np.asarray(split.X_test, dtype=np.float64)
-    features_count = X_train.shape[1]
+    # every gate evaluation and epoch of every attempt reads these; the
+    # training rows wait for the first epoch, which a model that already
+    # passes the gate never runs
+    test_rows = _prepared_rows(split.X_test)
+    train_rows = None
+    features_count = split.X_train.shape[1]
     class_weights = class_weight_vector(cfg.group0_weight)
     activation = transfer_model.activation if transfer_model is not None else cfg.activation
     total_epochs = 0
@@ -249,10 +264,12 @@ def _run_attempts(split: Split, cfg: TrainConfig,
         # evaluate before any epoch too: an already-good model trains for 0 epochs
         for epoch in range(cfg.epochs_limit + 1):
             if epoch:
-                run_training_epoch(model, adam, X_train, split.y_train, class_weights,
-                                   multipliers, rng, cfg.batch_size)
+                if train_rows is None:
+                    train_rows = _prepared_rows(split.X_train)
+                run_training_epoch(model, adam, split.X_train, split.y_train, class_weights,
+                                   multipliers, rng, cfg.batch_size, train_rows)
                 total_epochs += 1
-            metrics = evaluate(model, X_test, split.y_test)
+            metrics = evaluate(model, split.X_test, split.y_test, test_rows)
             if _gate_passes(metrics, cfg):
                 mode = MODE_GROWN if transfer else MODE_FULLY_RETRAINED
                 return model, TrainOutcome(mode, total_epochs, attempt, metrics.accuracy,

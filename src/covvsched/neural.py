@@ -5,7 +5,10 @@ backpropagation, Adam, per-input-column gradient multipliers and layer
 freezing. The input layer contracts over each sample's nonzero entries in
 column order, so appending zero columns to both inputs and weights leaves
 every intermediate sum bitwise untouched; the growing-model guarantees
-depend on that.
+depend on that. `_prepared_rows` finds each row's nonzero columns and
+values: a dense input is prepared on entry to `forward_pass`, and training
+prepares its train and test rows at most once per call and hands them to
+every forward pass that reads them.
 """
 
 from __future__ import annotations
@@ -63,25 +66,25 @@ def init_model(features_count: int, seed: int, activation: str = "identity") -> 
                               creation_seed=seed)
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim != 2:
-        raise ValueError(f"input must be 1-D or 2-D, got shape {arr.shape}")
-    return arr, False
+def _prepared_rows(X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row of the 2-D `X` as (its nonzero columns in ascending order,
+    their values as float64), the form `_project_rows` reads."""
+    rows = []
+    for row in X:
+        nz = row.nonzero()[0]
+        rows.append((nz, row[nz].astype(np.float64, copy=False)))
+    return rows
 
 
-def _project_rows(weights: np.ndarray, bias: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # per-sample contraction over nonzero columns in ascending order; the
-    # arrays handed to BLAS are identical before and after zero-column
-    # growth, which keeps old logits bit-exact
-    n = X.shape[0]
-    out = np.repeat(bias[None, :], n, axis=0)
-    for i in range(n):
-        nz = np.flatnonzero(X[i])
+def _project_rows(weights: np.ndarray, bias: np.ndarray, rows) -> np.ndarray:
+    # per-sample contraction over the prepared nonzero columns, in ascending
+    # order; the arrays handed to BLAS are identical before and after
+    # zero-column growth, which keeps old logits bit-exact
+    out = np.empty((len(rows), len(bias)))
+    out[:] = bias
+    for i, (nz, values) in enumerate(rows):
         if nz.size:
-            out[i] += weights[:, nz] @ X[i, nz]
+            out[i] += weights[:, nz] @ values
     return out
 
 
@@ -93,14 +96,27 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def forward_pass(model: TwoLayerClassifier, x) -> ForwardCache:
-    """Full forward pass keeping the intermediates backprop needs."""
-    X, _ = _as_batch(x)
+def forward_pass(model: TwoLayerClassifier, x, rows=None) -> ForwardCache:
+    """Full forward pass keeping the intermediates backprop needs.
+
+    `rows`, when given, are the 2-D batch `x`'s rows as `_prepared_rows`
+    returns them, and `x` is kept as it is; otherwise `x` is a vector or a
+    batch of rows, prepared here.
+    """
+    if rows is None:
+        X = np.asarray(x, dtype=np.float64)
+        if X.ndim == 1:
+            X = X[None, :]
+        elif X.ndim != 2:
+            raise ValueError(f"input must be 1-D or 2-D, got shape {X.shape}")
+        rows = _prepared_rows(X)
+    else:
+        X = x
     if X.shape[1] != model.features_count:
         raise ValueError(
             f"input width {X.shape[1]} does not match model width {model.features_count}"
         )
-    hidden_pre = _project_rows(model.layer1.weights, model.layer1.bias, X)
+    hidden_pre = _project_rows(model.layer1.weights, model.layer1.bias, rows)
     if model.activation == "relu":
         hidden = np.maximum(hidden_pre, 0.0)
     else:
@@ -111,9 +127,8 @@ def forward_pass(model: TwoLayerClassifier, x) -> ForwardCache:
 
 def forward(model: TwoLayerClassifier, x) -> np.ndarray:
     """Logits for a single vector or a batch of rows."""
-    _, single = _as_batch(x)
     logits = forward_pass(model, x).logits
-    return logits[0] if single else logits
+    return logits[0] if np.ndim(x) == 1 else logits
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -126,8 +141,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 def class_weight_vector(group0_weight: float = 200.0) -> np.ndarray:
     """Per-class loss weights: heavy on group 0, unit elsewhere."""
-    if group0_weight <= 0:
-        raise ValueError(f"group0_weight must be positive, got {group0_weight}")
+    if not (math.isfinite(group0_weight) and group0_weight > 0):
+        raise ValueError(f"group0_weight must be finite and positive, got {group0_weight}")
     w = np.ones(CLASS_COUNT)
     w[0] = group0_weight
     return w
@@ -149,12 +164,13 @@ def weighted_cross_entropy(logits, labels, class_weights) -> tuple[float, np.nda
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(shifted).sum(axis=1))
-    nll = log_norm - shifted[np.arange(n), labels]
+    e = np.exp(shifted)
+    norm = e.sum(axis=1)
+    nll = np.log(norm) - shifted[np.arange(n), labels]
     w = class_weights[labels]
     w_sum = w.sum()
     loss = float((w * nll).sum() / w_sum)
-    grad = softmax(logits)
+    grad = e / norm[:, None]  # the softmax
     grad[np.arange(n), labels] -= 1.0
     grad *= (w / w_sum)[:, None]
     return loss, grad

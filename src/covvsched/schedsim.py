@@ -134,22 +134,31 @@ class ModelClassifier:
     """Trained-model predictions over a frozen registry snapshot.
 
     Columns beyond the model's input width are ignored, which matches a
-    zero-extended model exactly; a narrower registry zero-pads.
+    zero-extended model exactly; a narrower registry zero-pads. Between two
+    refreshes the model and the registry copy are fixed, so a task's
+    prediction depends only on its constraint signature: each signature's
+    prediction is computed once and remembered until the next refresh.
     """
 
     def __init__(self, model: TwoLayerClassifier):
         self.model = model
         self._registry = FeatureRegistry()
+        self._predictions: dict = {}  # constraint signature -> group
 
     def refresh(self, inventory: NodeInventory, registry: FeatureRegistry) -> None:
         self._registry = registry.copy()
+        self._predictions.clear()
 
     def predict(self, task: TaskConstraintSet) -> int:
-        bits = encode_task(task, self._registry, register=False)
-        x = np.zeros(self.model.features_count)
-        n = min(len(bits), len(x))
-        x[:n] = bits[:n]
-        return int(np.argmax(forward(self.model, x)))
+        group = self._predictions.get(task.constraints)
+        if group is None:
+            bits = encode_task(task, self._registry, register=False)
+            x = np.zeros(self.model.features_count)
+            n = min(len(bits), len(x))
+            x[:n] = bits[:n]
+            group = int(np.argmax(forward(self.model, x)))
+            self._predictions[task.constraints] = group
+        return group
 
 
 @dataclass

@@ -279,6 +279,20 @@ class TestExitCodes:
         code = main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path / "o")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("nan")), ("lr", 0), ("lr", -0.05),
+        ("group0_weight", float("nan")), ("group0_weight", float("inf")),
+    ])
+    def test_non_finite_or_non_positive_train_value_exits_2(self, tmp_path, config_file,
+                                                            key, value):
+        # json writes and reads NaN and Infinity
+        doc = json.loads(config_file.read_text())
+        doc["train"][key] = value
+        config_file.write_text(json.dumps(doc))
+        code = main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path / "o")])
+        assert code == EXIT_DATA
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,section", [
         ("gen-trace", "trace"), ("train", "train"), ("sched-sim", "sched"),
     ])

@@ -8,6 +8,7 @@ from helpers import json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covvsched import growing, neural
 from covvsched.evalkit import Split, evaluate
 from covvsched.growing import (
     MODE_FAILED,
@@ -311,6 +312,21 @@ class TestTrainGrowing:
         assert trained.layer1.weights[:, 3:].any()
 
 
+def count_preparations(monkeypatch):
+    """The row count of every `_prepared_rows` call from here on."""
+    calls = []
+    original = neural._prepared_rows
+
+    def counting(X):
+        calls.append(len(X))
+        return original(X)
+
+    # growing prepares the split; forward_pass would prepare a dense batch
+    monkeypatch.setattr(growing, "_prepared_rows", counting)
+    monkeypatch.setattr(neural, "_prepared_rows", counting)
+    return calls
+
+
 class TestTrainFull:
     def test_deterministic(self):
         X, y = separable_data(seed=9)
@@ -349,6 +365,47 @@ class TestTrainFull:
         _, outcome = train_full(split, TrainConfig(seed=16))
         assert outcome.mode == MODE_FULLY_RETRAINED
         assert outcome.group0_f1 is None
+
+    def test_rows_prepared_once_per_call_not_per_epoch(self, monkeypatch):
+        calls = count_preparations(monkeypatch)
+        rng = np.random.default_rng(20)
+        X = (rng.random((120, 4)) < 0.5).astype(np.uint8)
+        y = rng.integers(0, 26, size=120)
+        split = make_split(X, y, seed=20)
+        # accuracy can never exceed 1.0, so every epoch of both attempts runs
+        cfg = TrainConfig(seed=21, epochs_limit=3, max_attempts=2, accepted_accuracy=1.0)
+        _, outcome = train_full(split, cfg)
+        assert (outcome.mode, outcome.attempts_used, outcome.epochs_used) == (MODE_FAILED, 2, 6)
+        assert calls == [len(split.y_test), len(split.y_train)]
+
+    def test_model_that_passes_untrained_prepares_only_the_test_rows(self, monkeypatch):
+        calls = count_preparations(monkeypatch)
+        X, y = separable_data(seed=24)
+        split = make_split(X, y, seed=24)
+        model, _ = train_full(split, TrainConfig(seed=25))
+        calls.clear()
+        _, outcome = train_growing(model, split, TrainConfig(seed=26))
+        assert outcome.epochs_used == 0
+        assert calls == [len(split.y_test)]
+
+    def test_uint8_split_trains_like_its_float_copy(self):
+        rng = np.random.default_rng(22)
+        X = (rng.random((160, 6)) < 0.4).astype(np.uint8)
+        y = (X[:, 0] + 2 * X[:, 1]).astype(np.int64)
+        cfg = TrainConfig(seed=23, epochs_limit=5, max_attempts=2)
+        a, first = train_full(make_split(X, y, seed=22), cfg)
+        b, second = train_full(make_split(X.astype(float), y, seed=22), cfg)
+        assert first == second
+        assert a.layer1.weights.tobytes() == b.layer1.weights.tobytes()
+        assert a.layer2.weights.tobytes() == b.layer2.weights.tobytes()
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("key", ["lr", "group0_weight"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, -0.05])
+    def test_non_finite_or_non_positive_rejected(self, key, bad):
+        with pytest.raises(ValueError, match=key):
+            TrainConfig(**{key: bad})
 
 
 class TestGradientScalingLocality:

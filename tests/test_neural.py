@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import gradient_check
 
+from covvsched.growing import extend_input_layer
 from covvsched.neural import (
     CLASS_COUNT,
     HIDDEN_SIZE,
     AdamState,
     DenseLayer,
     TwoLayerClassifier,
+    _prepared_rows,
     adam_step,
     apply_column_multipliers,
     backward,
@@ -100,6 +104,66 @@ class TestForward:
             forward(model, np.zeros(6))
 
 
+def reference_logits(model, X):
+    """Logits of the 2-D batch `X`, projecting each row over its nonzero columns."""
+    W1, b1 = model.layer1.weights, model.layer1.bias
+    hidden = []
+    for x in X:
+        h = b1.copy()
+        nz = np.flatnonzero(x)
+        if nz.size:
+            h += W1[:, nz] @ x[nz]
+        hidden.append(h)
+    hidden = np.array(hidden).reshape(len(X), HIDDEN_SIZE)
+    if model.activation == "relu":
+        hidden = np.maximum(hidden, 0.0)
+    return hidden @ model.layer2.weights.T + model.layer2.bias
+
+
+_entries = st.one_of(st.just(0.0), st.floats(-100, 100))
+
+
+@st.composite
+def _prepared_cases(draw):
+    """A float matrix (some rows all zero, maybe no rows), a random batch of
+    its row indices, a column count to append, and a model."""
+    n = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 8))
+    X = np.array(draw(st.lists(st.lists(_entries, min_size=width, max_size=width),
+                               min_size=n, max_size=n)), dtype=np.float64).reshape(n, width)
+    X[draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=n))] = 0.0
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else [], dtype=np.int64)
+    pad = draw(st.integers(1, 4))
+    model = init_model(width, seed=draw(st.integers(0, 2**16)),
+                       activation=draw(st.sampled_from(["identity", "relu"])))
+    model.layer1.bias = np.array(draw(st.lists(st.floats(-1, 1), min_size=HIDDEN_SIZE,
+                                               max_size=HIDDEN_SIZE)))
+    return X, idx, pad, model
+
+
+class TestPreparedRows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_prepared_cases())
+    def test_logits_match_the_per_row_reference_bitwise(self, case):
+        X, idx, pad, model = case
+        wide = np.hstack([X, np.zeros((len(X), pad))])
+        extended = extend_input_layer(model, model.features_count + pad)
+        for m, data in ((model, X), (extended, wide)):
+            rows = _prepared_rows(data)
+            batch = forward_pass(m, data[idx], [rows[i] for i in idx]).logits
+            assert batch.tobytes() == reference_logits(model, X[idx]).tobytes()
+            assert forward_pass(m, data[idx]).logits.tobytes() == batch.tobytes()
+            for i in range(len(data)):
+                single = forward(m, data[i])
+                assert single.tobytes() == reference_logits(model, X[i:i + 1])[0].tobytes()
+
+    def test_rows_hold_ascending_nonzero_columns_as_float64(self):
+        X = np.array([[0, 3, 0, 1], [0, 0, 0, 0]], dtype=np.uint8)
+        (cols, values), (empty, _) = _prepared_rows(X)
+        assert cols.tolist() == [1, 3] and values.tolist() == [3.0, 1.0]
+        assert values.dtype == np.float64 and empty.size == 0
+
+
 class TestWeightedCrossEntropy:
     def test_uniform_logits_loss_is_log_class_count(self):
         logits = np.zeros((1, CLASS_COUNT))
@@ -144,6 +208,24 @@ class TestWeightedCrossEntropy:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             weighted_cross_entropy(np.zeros((0, CLASS_COUNT)), [], np.ones(CLASS_COUNT))
+
+    def test_gradient_is_the_softmax_minus_one_hot_bitwise(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 65))
+            logits = rng.normal(scale=10, size=(n, CLASS_COUNT))
+            labels = rng.integers(0, CLASS_COUNT, size=n)
+            w = class_weight_vector()[labels]
+            expected = softmax(logits)
+            expected[np.arange(n), labels] -= 1.0
+            expected *= (w / w.sum())[:, None]
+            _, grad = weighted_cross_entropy(logits, labels, class_weight_vector())
+            assert grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_class_weight_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="group0_weight"):
+            class_weight_vector(bad)
 
 
 class TestBackward:

@@ -185,6 +185,15 @@ class TestRunConfigValidation:
     def test_float_field_takes_an_int(self):
         assert dataclass_from_dict(TrainConfig, {"lr": 1}, "train").lr == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("lr", float("nan")), ("lr", float("inf")), ("lr", 0), ("lr", -0.05),
+        ("group0_weight", float("nan")), ("group0_weight", float("inf")),
+        ("group0_weight", 0.0),
+    ])
+    def test_non_finite_or_non_positive_train_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            load_run_config({"run": {"trace_path": "t.jsonl"}, "train": {key: value}})
+
 
 _CONFIG_SECTIONS = {"trace": SyntheticTraceConfig, "grouping": GroupingConfig,
                     "train": TrainConfig, "split": SplitConfig, "sched": SchedulerConfig,

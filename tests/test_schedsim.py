@@ -222,6 +222,27 @@ class TestClassifiers:
         clf.refresh(NodeInventory(), reg)
         assert clf.predict(TaskConstraintSet(0, (Constraint("a", Op.EQ, ("0",)),))) == 3
 
+    def test_refresh_that_adds_a_column_changes_a_memoized_prediction(self):
+        # input column 2, ("a", "1"), drives hidden unit 0, which outvotes
+        # the bias's group 3; columns 0 and 1 are ("a", UNSET) and ("a", "0")
+        w1 = np.zeros((30, 3))
+        w1[0, 2] = 1.0
+        w2 = np.zeros((CLASS_COUNT, 30))
+        w2[0, 0] = 10.0
+        b2 = np.zeros(CLASS_COUNT)
+        b2[3] = 1.0
+        clf = ModelClassifier(TwoLayerClassifier(DenseLayer(w1, np.zeros(30)),
+                                                 DenseLayer(w2, b2)))
+        t = TaskConstraintSet(0, (Constraint("a", Op.EQ, ("0",)),))
+        reg = FeatureRegistry()
+        reg.register("a", "0")
+        clf.refresh(NodeInventory(), reg)
+        assert clf.predict(t) == 3
+        reg.register("a", "1")  # the task rejects this value: its bit is set
+        assert clf.predict(t) == 3  # the registry copy is frozen until a refresh
+        clf.refresh(NodeInventory(), reg)
+        assert clf.predict(t) == 0
+
     def test_model_classifier_routes_in_simulation(self):
         events = bootstrap(4) + [task(0, 1000), task(1, 1500)]
         b2 = np.zeros(CLASS_COUNT)
