@@ -11,12 +11,24 @@ the feature space grows.
 Because columns only append and a column's bit depends only on the
 constraint and the column's value, the registry keeps each constraint
 signature's encoding and, when columns have been added since, judges only
-the new ones. `value_satisfies` thus runs once per (signature, column) over
-a registry's life, however often a task is encoded again.
+the new ones: each (signature, column) pair is judged once over a
+registry's life, however often a task is encoded again.
+
+Values compare as decimal integers when both sides are decimal strings
+(the whole string is an optional sign and ASCII digits), else by code
+point. The registry stores each column value's canonical form once (the
+int of a decimal string, else the string itself), and one private pass
+judges a constraint against many values through those forms: equality
+operators as set membership, order operators by int or string
+comparison. `value_satisfies` stays the per-value specification that the
+pass is checked against. A `Constraint` computes its operands' forms and
+its hash once, at construction, since signature dicts hash it on every
+lookup.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -63,15 +75,31 @@ class Op(Enum):
 _NO_OPERAND = (Op.PRESENT, Op.ABSENT)
 _SET_OPERAND = (Op.IN, Op.NOT_IN)
 
-_DECIMAL = re.compile(r"^[+-]?[0-9]+$")
+# matched against the whole string: "5\n" and " 5" are not decimal
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def compare_values(a: str, b: str) -> int:
     """Three-way compare: decimal-integer when both sides parse, else code-point order."""
-    if _DECIMAL.match(a) and _DECIMAL.match(b):
+    if _DECIMAL.fullmatch(a) and _DECIMAL.fullmatch(b):
         ia, ib = int(a), int(b)
         return (ia > ib) - (ia < ib)
     return (a > b) - (a < b)
+
+
+def _canonical(value):
+    """The form a value compares equal through: its int when decimal, else itself.
+
+    `compare_values(a, b) == 0` iff the two forms are equal (an int never
+    equals a str), and UNSET stays UNSET. Raises ValueError for a decimal
+    too long for `int()`.
+    """
+    if value is UNSET or not _DECIMAL.fullmatch(value):
+        return value
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"decimal value of {len(value)} characters is too long") from None
 
 
 @dataclass(frozen=True)
@@ -104,6 +132,17 @@ class Constraint:
                 raise ValueError(f"{self.op.value} requires a non-empty operand set")
         elif n != 1:
             raise ValueError(f"{self.op.value} requires exactly one operand, got {n}")
+        # computing the forms also refuses a decimal operand too long for int()
+        object.__setattr__(self, "_forms", tuple(map(_canonical, self.operands)))
+        # signature dicts hash constraints on every lookup; a str's hash is
+        # per process, so `__reduce__` rebuilds the copy to hash afresh
+        object.__setattr__(self, "_hash", hash((self.attribute, self.op, self.operands)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return (Constraint, (self.attribute, self.op, self.operands))
 
 
 @dataclass(frozen=True)
@@ -149,6 +188,36 @@ def value_satisfies(constraint: Constraint, value) -> bool:
     raise AssertionError(f"unhandled operator {op!r}")
 
 
+# a tuple, not a set: `in` then tests identity and never calls Enum.__hash__
+_EQUALITY = (Op.EQ, Op.IN, Op.NE, Op.NOT_IN)
+_ORDER = {Op.LT: operator.lt, Op.LE: operator.le, Op.GT: operator.gt, Op.GE: operator.ge}
+
+
+def _judge(constraint: Constraint, values, forms) -> list[bool]:
+    """`[value_satisfies(constraint, v) for v in values]`, read through `forms`,
+    the values' canonical forms in the same order.
+
+    Equality operators test membership of the forms; order operators
+    compare the forms when both sides are decimal, the strings otherwise.
+    """
+    op = constraint.op
+    if op is Op.PRESENT:
+        return [v is not UNSET for v in values]
+    if op is Op.ABSENT:
+        return [v is UNSET for v in values]
+    if op in _EQUALITY:
+        targets = set(constraint._forms)
+        if op is Op.EQ or op is Op.IN:
+            return [f in targets for f in forms]
+        return [f not in targets for f in forms]  # NE, NOT_IN: UNSET is in no set
+    compare = _ORDER[op]
+    operand, target = constraint.operands[0], constraint._forms[0]
+    if type(target) is not int:
+        return [v is not UNSET and compare(v, operand) for v in values]
+    return [v is not UNSET and (compare(f, target) if type(f) is int else compare(v, operand))
+            for v, f in zip(values, forms)]
+
+
 class FeatureRegistry:
     """Append-only ordered catalog of (attribute, value) columns.
 
@@ -165,6 +234,7 @@ class FeatureRegistry:
 
     def __init__(self):
         self._columns: list[tuple[str, object]] = []
+        self._forms: list = []  # canonical form of each column's value
         self._index: dict[tuple[str, object], int] = {}
         self._by_attr: dict[str, list[int]] = {}
         self._encodings: dict[tuple[Constraint, ...], np.ndarray] = {}  # signature -> row
@@ -195,8 +265,10 @@ class FeatureRegistry:
         return self._append(attribute, value)
 
     def _append(self, attribute: str, value) -> int:
+        form = _canonical(value)
         idx = len(self._columns)
         self._columns.append((attribute, value))
+        self._forms.append(form)
         self._index[(attribute, value)] = idx
         self._by_attr.setdefault(attribute, []).append(idx)
         return idx
@@ -211,6 +283,7 @@ class FeatureRegistry:
     def copy(self) -> "FeatureRegistry":
         snap = FeatureRegistry()
         snap._columns = list(self._columns)
+        snap._forms = list(self._forms)
         snap._index = dict(self._index)
         snap._by_attr = {a: list(ix) for a, ix in self._by_attr.items()}
         return snap  # with its own, empty encoding cache
@@ -231,11 +304,12 @@ class FeatureRegistry:
         if row is not None:
             start = len(row)
             bits[:start] = row
+        columns, forms = self._columns, self._forms
         for constraint in constraints:
             ix = self._by_attr.get(constraint.attribute, [])
-            for idx in ix[bisect_left(ix, start):]:
-                if not value_satisfies(constraint, self._columns[idx][1]):
-                    bits[idx] = 1
+            ix = ix[bisect_left(ix, start):]
+            ok = _judge(constraint, [columns[i][1] for i in ix], [forms[i] for i in ix])
+            bits[[i for i, good in zip(ix, ok) if not good]] = 1
         bits.flags.writeable = False
         self._encodings[constraints] = bits
         return bits

@@ -27,6 +27,7 @@ from .neural import (
     AdamState,
     DenseLayer,
     TwoLayerClassifier,
+    _cross_entropy_grad,
     _prepared_rows,
     adam_step,
     apply_column_multipliers,
@@ -35,7 +36,6 @@ from .neural import (
     forward_pass,
     gradient_multipliers,
     init_model,
-    weighted_cross_entropy,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -214,7 +214,8 @@ def run_training_epoch(model: TwoLayerClassifier, adam: AdamState, X: np.ndarray
         idx = order[start:start + batch_size]
         batch = np.asarray(X[idx], dtype=np.float64)
         cache = forward_pass(model, batch, [rows[i] for i in idx.tolist()])
-        _, dlogits = weighted_cross_entropy(cache.logits, y[idx], class_weights)
+        labels = y[idx]
+        dlogits = _cross_entropy_grad(cache.logits, labels, class_weights[labels])
         grads = backward(model, cache, dlogits)
         grads.w1 = apply_column_multipliers(grads.w1, multipliers)
         adam_step(adam, model, grads)

@@ -164,16 +164,21 @@ def weighted_cross_entropy(logits, labels, class_weights) -> tuple[float, np.nda
     if labels.min() < 0 or labels.max() >= logits.shape[1]:
         raise ValueError("labels out of range")
     shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    norm = e.sum(axis=1)
-    nll = np.log(norm) - shifted[np.arange(n), labels]
+    nll = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(n), labels]
     w = class_weights[labels]
-    w_sum = w.sum()
-    loss = float((w * nll).sum() / w_sum)
-    grad = e / norm[:, None]  # the softmax
-    grad[np.arange(n), labels] -= 1.0
-    grad *= (w / w_sum)[:, None]
-    return loss, grad
+    loss = float((w * nll).sum() / w.sum())
+    return loss, _cross_entropy_grad(logits, labels, w)
+
+
+def _cross_entropy_grad(logits: np.ndarray, labels: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The gradient half of `weighted_cross_entropy`, without its checks:
+    float64 logits [n, classes], in-range labels [n], per-row weights `w`."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    grad = e / e.sum(axis=1)[:, None]  # the softmax
+    grad[np.arange(len(labels)), labels] -= 1.0
+    grad *= (w / w.sum())[:, None]
+    return grad
 
 
 @dataclass

@@ -7,11 +7,12 @@ group 0 for exactly one suitable node, groups 1..25 in configurable
 increments.
 
 Suitability goes through an exact index that the inventory keeps up to
-date on every mutation: per attribute, the distinct values it has held and
-an array of value codes over the node rows (-1 for UNSET). A constraint is
-evaluated once per distinct value plus once for UNSET, and the verdicts
-are gathered onto the rows through the codes; a node is suitable iff no
-constraint rejects its value. Value codes only append, so the inventory
+date on every mutation: per attribute, the distinct values it has held,
+their canonical forms (see `covv`) and an array of value codes over the
+node rows (-1 for UNSET). A constraint is judged in one pass over the
+forms of the distinct values plus UNSET, and the verdicts are gathered
+onto the rows through the codes; a node is suitable iff no constraint
+rejects its value. Value codes only append, so the inventory
 keeps each constraint's verdicts across mutations and judges only the
 codes added since. The sorted suitable ids are cached per constraint
 signature inside the inventory, and every mutation clears that cache, so
@@ -24,12 +25,20 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from typing import Mapping
 
 import numpy as np
 
-from .covv import UNSET, Constraint, FeatureRegistry, TaskConstraintSet, value_satisfies
+from .covv import (
+    UNSET,
+    Constraint,
+    FeatureRegistry,
+    TaskConstraintSet,
+    _canonical,
+    _judge,
+    value_satisfies,
+)
 
 log = logging.getLogger(__name__)
 
@@ -72,6 +81,7 @@ class NodeInventory:
         self._capacity = 16
         self._codes: dict[str, np.ndarray] = {}  # attribute -> value code per row, -1 = UNSET
         self._values: dict[str, dict[str, int]] = {}  # attribute -> value -> code, in code order
+        self._forms: dict[str, list] = {}  # attribute -> canonical form per code
         self._suitable: dict[tuple, list[int]] = {}  # constraint signature -> sorted suitable ids
         self._verdicts: dict[Constraint, np.ndarray] = {}  # constraint -> verdict per code, UNSET last
 
@@ -93,6 +103,7 @@ class NodeInventory:
         snap._capacity = self._capacity
         snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
         snap._values = {a: dict(values) for a, values in self._values.items()}
+        snap._forms = {a: list(forms) for a, forms in self._forms.items()}
         return snap  # with its own, empty caches
 
     def _row(self, node: int) -> int:
@@ -110,12 +121,17 @@ class NodeInventory:
 
     def _set(self, node: int, attribute: str, value: str) -> None:
         row = self._row(node)
-        self.nodes[node][attribute] = value
         if attribute not in self._codes:
             self._codes[attribute] = np.full(self._capacity, -1, dtype=np.int32)
             self._values[attribute] = {}
+            self._forms[attribute] = []
         values = self._values[attribute]
-        self._codes[attribute][row] = values.setdefault(value, len(values))
+        code = values.get(value)
+        if code is None:
+            self._forms[attribute].append(_canonical(value))
+            code = values[value] = len(values)
+        self.nodes[node][attribute] = value
+        self._codes[attribute][row] = code
         self.version += 1
         self._suitable.clear()
 
@@ -139,10 +155,11 @@ class NodeInventory:
         if ok is not None and len(ok) == len(values) + 1:
             return ok
         start = 0 if ok is None else len(ok) - 1
-        new = np.fromiter(
-            (value_satisfies(constraint, v) for v in chain(islice(values, start, None), (UNSET,))),
-            dtype=bool, count=len(values) - start + 1,
-        )
+        new = np.array(_judge(
+            constraint,
+            [*islice(values, start, None), UNSET],
+            [*self._forms.get(constraint.attribute, ())[start:], UNSET],
+        ), dtype=bool)
         ok = new if ok is None else np.concatenate((ok[:-1], new))
         self._verdicts[constraint] = ok
         return ok

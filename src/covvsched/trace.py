@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Union
 
@@ -21,6 +22,7 @@ from .covv import (
     FeatureRegistry,
     Op,
     TaskConstraintSet,
+    _canonical,
     constraint_from_json,
     constraint_to_json,
     encode_task,
@@ -28,6 +30,9 @@ from .covv import (
 from .oracle import UNSCHEDULABLE, GroupingConfig, NodeInventory, count_suitable, group_label
 
 log = logging.getLogger(__name__)
+
+# int() refuses no string this short, whatever its digit limit is set to
+_INT_SAFE_LENGTH = getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 #: Attribute holding one distinct value per node; equality on it pins a task
 #: to a single machine.
@@ -133,8 +138,14 @@ def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[Trace
             node = _require(obj, "node", int, lineno)
             attribute = _require(obj, "attr", str, lineno)
             value = obj.get("val")
-            if value is not None and not isinstance(value, str):
-                raise TraceFormatError(f"line {lineno}: key 'val' must be a string or null")
+            if value is not None:
+                if not isinstance(value, str):
+                    raise TraceFormatError(f"line {lineno}: key 'val' must be a string or null")
+                if len(value) > _INT_SAFE_LENGTH:
+                    try:
+                        _canonical(value)
+                    except ValueError as exc:
+                        raise TraceFormatError(f"line {lineno}: {exc}") from None
             yield MachineEvent(time=time, node=node, attribute=attribute, value=value)
         elif kind == "task":
             task_id = _require(obj, "id", int, lineno)

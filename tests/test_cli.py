@@ -244,6 +244,24 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o.json")]
         assert main(args) == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["simulate", "sched-sim"])
+    @pytest.mark.parametrize("line", [
+        '{"t":1,"kind":"task","id":1,"dur":5,"cons":[{"attr":"a","op":"LE","operands":["%s"]}]}',
+        '{"t":1,"kind":"machine","node":1,"attr":"a","val":"%s"}',
+    ], ids=["operand", "machine-value"])
+    def test_decimal_too_long_for_int_exits_2(self, tmp_path, config_file, capsys, command, line):
+        bad = tmp_path / "long.jsonl"
+        bad.write_text('{"t":0,"kind":"machine","node":0,"attr":"a","val":"1"}\n'
+                       + line % ("9" * 5000) + "\n")
+        if command == "simulate":
+            args = ["simulate", "--config", str(config_file), "--trace", str(bad),
+                    "--out-dir", str(tmp_path / "o")]
+        else:
+            args = ["sched-sim", "--trace", str(bad), "--policy", "co-analyzer", "--oracle",
+                    "--out", str(tmp_path / "o.json")]
+        assert main(args) == EXIT_DATA
+        assert "line 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize("corrupt", [
         lambda doc: doc.update(activation="tanh"),
         lambda doc: doc["weights"].update(b2=[float("nan")] * 26),

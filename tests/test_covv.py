@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,8 @@ from covvsched.covv import (
     FeatureRegistry,
     Op,
     TaskConstraintSet,
+    _canonical,
+    _judge,
     compare_values,
     constraint_from_json,
     constraint_to_json,
@@ -87,6 +92,52 @@ class TestCompareValues:
         assert compare_values("b", "a") > 0
         assert compare_values("10", "x") < 0
 
+    def test_decimal_must_be_the_whole_string(self):
+        # a trailing newline is no more decimal than a leading or trailing space
+        assert compare_values("5\n", "5") > 0
+        assert compare_values("10\n", "9") < 0
+        assert compare_values("5 ", "5") > 0
+        assert compare_values(" 5", "5") < 0
+
+    def test_signs_and_leading_zeros(self):
+        assert compare_values("+1", "01") == 0
+        assert compare_values("-0", "0") == 0
+        assert compare_values("-10", "-9") < 0
+
+
+_POOL = ("1", "01", "+1", "-0", "0", "-1", "9", "10", "1234567890123456789012345",
+         "5", "5\n", " 5", "\u0665", "\uff11", "a1", "1a", "x", "", "+", "-")
+_pool_values = st.one_of(st.sampled_from(_POOL), st.text(alphabet="+-0159ax ", max_size=4))
+
+
+@st.composite
+def _any_constraint(draw):
+    op = draw(st.sampled_from(list(Op)))
+    if op in (Op.PRESENT, Op.ABSENT):
+        size = 0
+    elif op in (Op.IN, Op.NOT_IN):
+        size = draw(st.integers(1, 4))
+    else:
+        size = 1
+    operands = draw(st.lists(_pool_values, min_size=size, max_size=size))
+    return Constraint("a", op, tuple(operands))
+
+
+class TestBatchJudge:
+    @settings(max_examples=400, deadline=None)
+    @given(constraint=_any_constraint(),
+           values=st.lists(st.one_of(_pool_values, st.just(UNSET)), max_size=12))
+    def test_matches_value_satisfies(self, constraint, values):
+        forms = [_canonical(v) for v in values]
+        assert _judge(constraint, values, forms) == [value_satisfies(constraint, v) for v in values]
+
+    def test_canonical_forms(self):
+        assert _canonical("007") == 7
+        assert _canonical("-0") == 0
+        assert _canonical("5\n") == "5\n"
+        assert _canonical("\u0665") == "\u0665"  # a non-ASCII digit stays a string
+        assert _canonical(UNSET) is UNSET
+
 
 class TestValueSatisfies:
     def test_ge_row_semantics(self):
@@ -134,6 +185,13 @@ class TestConstraintValidation:
         with pytest.raises(ValueError):
             Constraint("AM", Op.PRESENT, ("1",))
 
+    def test_operand_too_long_for_int(self):
+        with pytest.raises(ValueError, match="too long"):
+            Constraint("AM", Op.LE, ("9" * 5000,))
+        with pytest.raises(ValueError, match="too long"):
+            Constraint("AM", Op.IN, ("1", "-" + "9" * 5000))
+        Constraint("AM", Op.LE, ("x" * 5000,))  # a long string is no decimal
+
     def test_attribute_token(self):
         with pytest.raises(ValueError):
             Constraint("", Op.PRESENT)
@@ -144,6 +202,36 @@ class TestConstraintValidation:
     def test_attribute_must_be_a_string(self, attribute):
         with pytest.raises(ValueError, match="must be a string"):
             Constraint(attribute, Op.PRESENT)
+
+
+class TestConstraintHash:
+    def test_equal_constraints_built_apart_find_each_other(self):
+        a = (Constraint("AM", Op.IN, ("1", "2")), Constraint("B", Op.PRESENT))
+        b = (Constraint("AM", Op.IN, ["1", "2"]), Constraint("B", Op.PRESENT, ()))
+        assert a == b and a[0] is not b[0]
+        assert hash(a) == hash(b)
+        assert {a: "row"}[b] == "row"
+        assert {b[0]: 1}[a[0]] == 1
+
+    def test_unequal_constraints_are_different_keys(self):
+        keys = {Constraint("AM", Op.LE, ("1",)), Constraint("AM", Op.LT, ("1",)),
+                Constraint("AM", Op.LE, ("01",)), Constraint("AN", Op.LE, ("1",))}
+        assert len(keys) == 4
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda c: pickle.loads(pickle.dumps(c))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_hash_and_compare_equal(self, clone):
+        signature = (Constraint("AM", Op.NOT_IN, ("1", "x")), Constraint("B", Op.GE, ("3",)))
+        copied = tuple(clone(c) for c in signature)
+        assert copied == signature
+        assert hash(copied) == hash(signature)
+        assert {signature: 1}[copied] == 1
+        assert {copied: 1}[signature] == 1
+
+    def test_pickle_rebuilds_through_the_constructor(self):
+        data = pickle.dumps(Constraint("AM", Op.EQ, ("1",)))
+        assert b"_hash" not in data and b"_forms" not in data
 
 
 class TestEncodeConstraint:

@@ -96,6 +96,15 @@ class TestParseEvents:
         with pytest.raises(TraceFormatError, match="line 2"):
             list(parse_events(text))
 
+    @pytest.mark.parametrize("line", [
+        '{"t":1,"kind":"task","id":1,"dur":5,"cons":[{"attr":"a","op":"LE","operands":["%s"]}]}',
+        '{"t":1,"kind":"machine","node":1,"attr":"a","val":"%s"}',
+    ], ids=["operand", "machine-value"])
+    def test_decimal_too_long_for_int_names_line(self, line):
+        text = '{"t":0,"kind":"machine","node":0,"attr":"a","val":"1"}\n' + line % ("9" * 5000)
+        with pytest.raises(TraceFormatError, match="line 2: .*too long"):
+            list(parse_events(text))
+
     def test_zero_duration_accepted(self):
         (event,) = parse_events('{"t":0,"kind":"task","id":1,"dur":0,"cons":[]}\n')
         assert event.duration == 0
