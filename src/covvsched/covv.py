@@ -9,10 +9,11 @@ and new columns default to 0 (acceptable), so old vectors stay valid when
 the feature space grows.
 
 Because columns only append and a column's bit depends only on the
-constraint and the column's value, the registry keeps each constraint
-signature's encoding and, when columns have been added since, judges only
-the new ones: each (signature, column) pair is judged once over a
-registry's life, however often a task is encoded again.
+constraint and the column's value, the registry keeps each constraint's
+verdict over its attribute's columns, judging only columns added since:
+each (constraint, column) pair is judged once over a registry's life.
+Encodings are read from those verdicts, and so is the oracle's
+suitability, through a registry that catalogs the nodes' values.
 
 Values compare as decimal integers when both sides are decimal strings
 (the whole string is an optional sign and ASCII digits), else by code
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import operator
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -117,7 +117,7 @@ class Constraint:
     def __post_init__(self):
         if not isinstance(self.attribute, str):
             raise ValueError(f"attribute key must be a string, got {self.attribute!r}")
-        if not self.attribute or any(ch.isspace() for ch in self.attribute):
+        if self.attribute.split() != [self.attribute]:
             raise ValueError(f"attribute key must be a non-empty token, got {self.attribute!r}")
         object.__setattr__(self, "operands", tuple(self.operands))
         for operand in self.operands:
@@ -226,10 +226,10 @@ class FeatureRegistry:
     attribute is first observed; concrete values then append strictly in
     observation order. Single writer; readers may share a frozen copy.
 
-    It also keeps the encoding of every constraint signature `encode_task`
-    was asked for, as a read-only row at the width of the last request. A
-    row never needs invalidation, only extension over the columns appended
-    since; each copy starts with an empty cache of its own.
+    It keeps each constraint's verdict over its attribute's columns, and
+    each signature's `encode_task` row (read-only, at the width of the last
+    request). Neither needs invalidation, only extension over the columns
+    appended since; each copy starts with empty caches of its own.
     """
 
     def __init__(self):
@@ -237,6 +237,7 @@ class FeatureRegistry:
         self._forms: list = []  # canonical form of each column's value
         self._index: dict[tuple[str, object], int] = {}
         self._by_attr: dict[str, list[int]] = {}
+        self._verdicts: dict[Constraint, np.ndarray] = {}  # constraint -> verdict per attribute column
         self._encodings: dict[tuple[Constraint, ...], np.ndarray] = {}  # signature -> row
 
     def __len__(self) -> int:
@@ -286,14 +287,31 @@ class FeatureRegistry:
         snap._forms = list(self._forms)
         snap._index = dict(self._index)
         snap._by_attr = {a: list(ix) for a, ix in self._by_attr.items()}
-        return snap  # with its own, empty encoding cache
+        return snap  # with its own, empty verdict and encoding caches
+
+    def _verdict(self, constraint: Constraint) -> np.ndarray:
+        """Whether each column of the constraint's attribute satisfies it, in
+        column order (UNSET first). Cached per constraint; a cached array
+        shorter than the attribute is copied into a new one that judges
+        only the new columns, so arrays handed out earlier never change.
+        """
+        ix = self._by_attr.get(constraint.attribute, ())
+        ok = self._verdicts.get(constraint)
+        if ok is not None and len(ok) == len(ix):
+            return ok
+        new = ix[0 if ok is None else len(ok):]
+        judged = np.array(_judge(constraint, [self._columns[i][1] for i in new],
+                                 [self._forms[i] for i in new]), dtype=bool)
+        ok = judged if ok is None else np.concatenate((ok, judged))
+        self._verdicts[constraint] = ok
+        return ok
 
     def _encoding(self, constraints: tuple[Constraint, ...]) -> np.ndarray:
         """The OR of the constraints' encodings at the current width, cached per signature.
 
-        A cached row shorter than the registry is copied into a new row and
-        only the columns from its old length on are judged; rows handed out
-        earlier keep their bytes.
+        A cached row shorter than the registry is copied into a new row, and
+        only the constraints whose attribute gained columns since are OR-ed
+        in again; rows handed out earlier keep their bytes.
         """
         row = self._encodings.get(constraints)
         width = len(self._columns)
@@ -304,12 +322,10 @@ class FeatureRegistry:
         if row is not None:
             start = len(row)
             bits[:start] = row
-        columns, forms = self._columns, self._forms
         for constraint in constraints:
-            ix = self._by_attr.get(constraint.attribute, [])
-            ix = ix[bisect_left(ix, start):]
-            ok = _judge(constraint, [columns[i][1] for i in ix], [forms[i] for i in ix])
-            bits[[i for i, good in zip(ix, ok) if not good]] = 1
+            ix = self._by_attr.get(constraint.attribute)
+            if ix and ix[-1] >= start:
+                bits[[i for i, good in zip(ix, self._verdict(constraint)) if not good]] = 1
         bits.flags.writeable = False
         self._encodings[constraints] = bits
         return bits

@@ -7,36 +7,34 @@ group 0 for exactly one suitable node, groups 1..25 in configurable
 increments.
 
 Suitability goes through an exact index that the inventory keeps up to
-date on every mutation: per attribute, the distinct values it has held,
-their canonical forms (see `covv`) and an array of value codes over the
-node rows (-1 for UNSET). A constraint is judged in one pass over the
-forms of the distinct values plus UNSET, and the verdicts are gathered
-onto the rows through the codes; a node is suitable iff no constraint
-rejects its value. Value codes only append, so the inventory
-keeps each constraint's verdicts across mutations and judges only the
-codes added since. The sorted suitable ids are cached per constraint
-signature inside the inventory, and every mutation clears that cache, so
-`suitable_nodes` and `count_suitable` are the one place the answer is
-computed and kept. `node_satisfies` stays the per-node specification the
-index is checked against.
+date on every mutation. The inventory catalogs every (attribute, value)
+its nodes have held as the columns of a private `FeatureRegistry`, and
+per attribute keeps an array over the node rows of each row's position
+among that attribute's columns (0, the UNSET column, when unset). A
+constraint's verdict over the columns comes from the catalog, which judges
+each column once however the nodes change, and is gathered onto the rows
+through the positions; a node is suitable iff no constraint rejects its
+value. The sorted suitable ids are cached per constraint signature inside
+the inventory, and every mutation clears that cache, so `suitable_nodes`
+and `count_suitable` are the one place the answer is computed and kept.
+`node_satisfies` stays the per-node specification the index is checked
+against.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 from typing import Mapping
 
 import numpy as np
 
 from .covv import (
     UNSET,
-    Constraint,
     FeatureRegistry,
     TaskConstraintSet,
-    _canonical,
-    _judge,
     value_satisfies,
 )
 
@@ -66,9 +64,11 @@ class NodeInventory:
     A missing attribute reads as UNSET. Single writer (trace replay order
     defines state). Mutate only through `apply_machine_event`, which keeps
     the index in step with `nodes` and clears the suitability cache. The
-    per-constraint verdicts over value codes outlive mutations: a code
-    keeps its value for good, so they are only extended over new codes.
-    A copy starts with both caches empty, since its codes may diverge.
+    index reads each node's value as a column of a private `FeatureRegistry`
+    that catalogs every value the nodes have held, so the registry's
+    per-constraint verdicts, which only ever extend over new columns,
+    outlive mutations. A copy starts with an empty suitability cache and a
+    copy of the catalog, whose verdict cache starts empty too.
     `version` bumps on every mutation; the scheduler reads it to tell
     whether a queue was last walked at the current state.
     """
@@ -79,11 +79,11 @@ class NodeInventory:
         # The index: nodes are never dropped, so row order is `nodes` order.
         self._rows: dict[int, int] = {}
         self._capacity = 16
-        self._codes: dict[str, np.ndarray] = {}  # attribute -> value code per row, -1 = UNSET
-        self._values: dict[str, dict[str, int]] = {}  # attribute -> value -> code, in code order
-        self._forms: dict[str, list] = {}  # attribute -> canonical form per code
+        self._catalog = FeatureRegistry()  # every (attribute, value) a node has held
+        # attribute -> per row, the position of the row's value among the
+        # attribute's catalog columns (0, the UNSET column, when unset)
+        self._codes: dict[str, np.ndarray] = {}
         self._suitable: dict[tuple, list[int]] = {}  # constraint signature -> sorted suitable ids
-        self._verdicts: dict[Constraint, np.ndarray] = {}  # constraint -> verdict per code, UNSET last
 
     @property
     def node_count(self) -> int:
@@ -101,9 +101,8 @@ class NodeInventory:
         snap.version = self.version
         snap._rows = dict(self._rows)
         snap._capacity = self._capacity
+        snap._catalog = self._catalog.copy()
         snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
-        snap._values = {a: dict(values) for a, values in self._values.items()}
-        snap._forms = {a: list(forms) for a, forms in self._forms.items()}
         return snap  # with its own, empty caches
 
     def _row(self, node: int) -> int:
@@ -114,24 +113,19 @@ class NodeInventory:
             if row == self._capacity:
                 self._capacity *= 2
                 for attribute, codes in self._codes.items():
-                    grown = np.full(self._capacity, -1, dtype=np.int32)
+                    grown = np.zeros(self._capacity, dtype=np.int32)
                     grown[: len(codes)] = codes
                     self._codes[attribute] = grown
         return row
 
     def _set(self, node: int, attribute: str, value: str) -> None:
         row = self._row(node)
-        if attribute not in self._codes:
-            self._codes[attribute] = np.full(self._capacity, -1, dtype=np.int32)
-            self._values[attribute] = {}
-            self._forms[attribute] = []
-        values = self._values[attribute]
-        code = values.get(value)
-        if code is None:
-            self._forms[attribute].append(_canonical(value))
-            code = values[value] = len(values)
+        column = self._catalog.register(attribute, value)
+        codes = self._codes.get(attribute)
+        if codes is None:
+            codes = self._codes[attribute] = np.zeros(self._capacity, dtype=np.int32)
         self.nodes[node][attribute] = value
-        self._codes[attribute][row] = code
+        codes[row] = bisect_left(self._catalog._by_attr[attribute], column)
         self.version += 1
         self._suitable.clear()
 
@@ -140,36 +134,15 @@ class NodeInventory:
         if attrs is None or attribute not in attrs:
             return
         del attrs[attribute]
-        self._codes[attribute][self._rows[node]] = -1
+        self._codes[attribute][self._rows[node]] = 0
         self.version += 1
         self._suitable.clear()
-
-    def _verdict(self, constraint: Constraint) -> np.ndarray:
-        """Whether each value code of the attribute satisfies the constraint, UNSET last.
-
-        Judged once per code: a cached array that predates new codes is
-        copied into a new array and extended over those codes only.
-        """
-        values = self._values.get(constraint.attribute, {})
-        ok = self._verdicts.get(constraint)
-        if ok is not None and len(ok) == len(values) + 1:
-            return ok
-        start = 0 if ok is None else len(ok) - 1
-        new = np.array(_judge(
-            constraint,
-            [*islice(values, start, None), UNSET],
-            [*self._forms.get(constraint.attribute, ())[start:], UNSET],
-        ), dtype=bool)
-        ok = new if ok is None else np.concatenate((ok[:-1], new))
-        self._verdicts[constraint] = ok
-        return ok
 
     def _suitable_nodes(self, task: TaskConstraintSet) -> list[int]:
         """Sorted ids of the nodes no constraint rejects, cached per constraint signature.
 
-        Each constraint's verdicts are gathered onto the rows through the
-        value codes (code -1 selects the UNSET verdict); an attribute no
-        node holds reads UNSET on every node.
+        Each constraint's catalog verdicts are gathered onto the rows through
+        the codes; an attribute no node has held reads UNSET on every node.
         """
         nodes = self._suitable.get(task.constraints)
         if nodes is not None:
@@ -177,9 +150,11 @@ class NodeInventory:
         n = len(self._rows)
         mask = np.ones(n, dtype=bool)
         for constraint in task.constraints:
-            ok = self._verdict(constraint)
             codes = self._codes.get(constraint.attribute)
-            mask &= ok[codes[:n]] if codes is not None else ok[-1]
+            if codes is None:
+                mask &= value_satisfies(constraint, UNSET)
+            else:
+                mask &= self._catalog._verdict(constraint)[codes[:n]]
         nodes = self._suitable[task.constraints] = sorted(compress(self.nodes, mask.tolist()))
         return nodes
 

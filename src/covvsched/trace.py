@@ -27,7 +27,7 @@ from .covv import (
     constraint_to_json,
     encode_task,
 )
-from .oracle import UNSCHEDULABLE, GroupingConfig, NodeInventory, count_suitable, group_label
+from .oracle import GROUP_COUNT, UNSCHEDULABLE, GroupingConfig, NodeInventory, count_suitable, group_label
 
 log = logging.getLogger(__name__)
 
@@ -363,18 +363,26 @@ def save_snapshot(snapshot: DatasetSnapshot, path) -> None:
 
 
 def load_snapshot(path) -> DatasetSnapshot:
+    """Read a snapshot file, refusing arrays that are not 0/1 rows with labels 0..25."""
     with np.load(path) as data:
         try:
-            snapshot = DatasetSnapshot(
-                X=data["X"].astype(np.uint8),
-                y=data["y"].astype(np.int64),
-                step_time=int(data["step_time"]),
-                dropped_unschedulable=int(data["dropped_unschedulable"]),
-            )
+            X, y = data["X"], data["y"]
+            step_time, dropped = int(data["step_time"]), int(data["dropped_unschedulable"])
         except KeyError as exc:
             raise ValueError(f"snapshot file {path} missing array {exc}") from None
-    if snapshot.X.ndim != 2:
-        raise ValueError(f"snapshot file {path}: X is {snapshot.X.ndim}-dimensional, expected 2")
-    if len(snapshot.X) != len(snapshot.y):
-        raise ValueError(f"snapshot file {path} has {len(snapshot.X)} rows but {len(snapshot.y)} labels")
-    return snapshot
+        except TypeError as exc:  # int() of a non-scalar array
+            raise ValueError(f"snapshot file {path}: {exc}") from None
+    if X.ndim != 2:
+        raise ValueError(f"snapshot file {path}: X is {X.ndim}-dimensional, expected 2")
+    if y.ndim != 1:
+        raise ValueError(f"snapshot file {path}: y is {y.ndim}-dimensional, expected 1")
+    if len(X) != len(y):
+        raise ValueError(f"snapshot file {path} has {len(X)} rows but {len(y)} labels")
+    bad = X[~np.isin(X, (0, 1))]
+    if bad.size:
+        raise ValueError(f"snapshot file {path}: X holds {bad[0]}, expected only 0 and 1")
+    bad = y[~np.isin(y, np.arange(GROUP_COUNT))]
+    if bad.size:
+        raise ValueError(f"snapshot file {path}: label {bad[0]} outside 0..{GROUP_COUNT - 1}")
+    return DatasetSnapshot(X=X.astype(np.uint8), y=y.astype(np.int64),
+                           step_time=step_time, dropped_unschedulable=dropped)

@@ -6,9 +6,11 @@ shared across criteria through a session fixture.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,12 +352,14 @@ def test_criterion_10_simulate_determinism(tmp_path):
       "run": {"seed": 5}
     }""")
     outputs = []
+    # the package source, not an installed copy, and importable without PYTHONPATH set
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     for name in ("first", "second"):
         out_dir = tmp_path / name
         proc = subprocess.run(
             [sys.executable, "-m", "covvsched", "simulate",
              "--config", str(config), "--out-dir", str(out_dir)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         outputs.append((out_dir / "step_reports.csv").read_bytes())
     header_ok = outputs[0].decode().splitlines()[0] == ",".join(REPORT_COLUMNS)

@@ -201,6 +201,32 @@ class TestExitCodes:
                      "--policy", "fifo", "--out", str(tmp_path / "o.json")])
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("corrupt", ["label-minus-one", "label-26", "x-256", "y-2d"])
+    def test_malformed_snapshot_exits_2(self, tmp_path, snapshot_file, capsys, command, corrupt):
+        with np.load(snapshot_file) as data:
+            arrays = {name: data[name] for name in data.files}
+        X, y = arrays["X"].astype(np.int64), arrays["y"]
+        if corrupt == "label-minus-one":
+            y[0] = -1
+        elif corrupt == "label-26":
+            y[0] = 26
+        elif corrupt == "x-256":
+            X[0, 0] = 256
+        else:
+            y = y[:, None]
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **{**arrays, "X": X, "y": y})
+        if command == "train":
+            args = ["train", "--data", str(bad), "--out", str(tmp_path / "m.json")]
+        else:
+            model = tmp_path / "model.json"
+            save_state(init_model(X.shape[1], seed=1), model)
+            args = ["evaluate", "--model", str(model), "--data", str(bad),
+                    "--out", str(tmp_path / "metrics.json")]
+        assert main(args) == EXIT_DATA
+        assert str(bad) in capsys.readouterr().err
+
     def test_corrupt_trace_exits_2(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")

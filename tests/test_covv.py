@@ -192,11 +192,10 @@ class TestConstraintValidation:
             Constraint("AM", Op.IN, ("1", "-" + "9" * 5000))
         Constraint("AM", Op.LE, ("x" * 5000,))  # a long string is no decimal
 
-    def test_attribute_token(self):
-        with pytest.raises(ValueError):
-            Constraint("", Op.PRESENT)
-        with pytest.raises(ValueError):
-            Constraint("A M", Op.PRESENT)
+    @pytest.mark.parametrize("attribute", ["", "A M", " a", "a b", "a\u3000b", "a ", "a\tb", "\x85"])
+    def test_attribute_token(self, attribute):
+        with pytest.raises(ValueError, match="non-empty token"):
+            Constraint(attribute, Op.PRESENT)
 
     @pytest.mark.parametrize("attribute", [5, ["a"], None, ("a",)])
     def test_attribute_must_be_a_string(self, attribute):
@@ -374,6 +373,12 @@ def spec_encoding(constraints, registry):
     return bits
 
 
+def spec_verdict(constraint, registry):
+    """`value_satisfies` over the constraint attribute's columns, in column order."""
+    return [value_satisfies(constraint, registry.column(i)[1])
+            for i in registry.indices_for(constraint.attribute)]
+
+
 class TestEncodingCache:
     @settings(max_examples=300, deadline=None)
     @given(pool=st.lists(_signatures, min_size=4, max_size=4), steps=_steps)
@@ -397,6 +402,9 @@ class TestEncodingCache:
                 assert bits.tolist() == spec_encoding(task.constraints, reg).tolist()
                 assert not bits.flags.writeable
                 returned.append((bits, bits.tobytes()))
+            for reg in registries:
+                for c in {c for signature in pool for c in signature}:
+                    assert reg._verdict(c).tolist() == spec_verdict(c, reg)
         for bits, original in returned:
             assert bits.tobytes() == original
 

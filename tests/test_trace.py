@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,12 @@ class TestParseEvents:
         text = ('{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n'
                 '{"t":0,"kind":"task","id":2,"dur":5,"cons":[{"attr":%s,"op":"PRESENT"}]}\n' % attr)
         with pytest.raises(TraceFormatError, match="line 2"):
+            list(parse_events(text))
+
+    def test_whitespace_in_constraint_attribute_names_line(self):
+        text = ('{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n'
+                '{"t":0,"kind":"task","id":2,"dur":5,"cons":[{"attr":"a b","op":"PRESENT"}]}\n')
+        with pytest.raises(TraceFormatError, match="line 2: .*non-empty token"):
             list(parse_events(text))
 
     @pytest.mark.parametrize("line", [
@@ -353,3 +360,35 @@ class TestSnapshotFiles:
         np.savez(path, X=np.zeros((1, 2)))
         with pytest.raises(ValueError):
             load_snapshot(path)
+
+    @pytest.mark.parametrize("X, y, message", [
+        (np.zeros((2, 3)), np.zeros((2, 1)), "y is 2-dimensional"),
+        (np.zeros((2, 3)), np.array([0, -1]), "label -1 outside 0..25"),
+        (np.zeros((2, 3)), np.array([26, 0]), "label 26 outside 0..25"),
+        (np.zeros((2, 3)), np.array([0.0, 1.5]), "label 1.5 outside"),
+        (np.array([[0, 256, 1]] * 2), np.zeros(2), "X holds 256"),
+        (np.array([[0, 1, 0.5]] * 2), np.zeros(2), "X holds 0.5"),
+        (np.array([[0, 1, np.nan]] * 2), np.zeros(2), "X holds nan"),
+    ], ids=["y-2d", "label-minus-one", "label-26", "label-fraction",
+            "x-256", "x-fraction", "x-nan"])
+    def test_malformed_arrays_rejected(self, tmp_path, X, y, message):
+        # casting would turn each of these into a valid-looking row or label
+        path = tmp_path / "bad.npz"
+        np.savez(path, X=X, y=y, step_time=np.int64(0), dropped_unschedulable=np.int64(0))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+            load_snapshot(path)
+
+    def test_non_scalar_step_time_rejected(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, X=np.zeros((2, 3)), y=np.zeros(2), step_time=np.array([1, 2]),
+                 dropped_unschedulable=np.int64(0))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load_snapshot(path)
+
+    def test_float_zero_one_arrays_load(self, tmp_path):
+        path = tmp_path / "float.npz"
+        np.savez(path, X=np.array([[0.0, 1.0]]), y=np.array([25.0]),
+                 step_time=np.int64(0), dropped_unschedulable=np.int64(0))
+        back = load_snapshot(path)
+        assert back.X.dtype == np.uint8 and back.X.tolist() == [[0, 1]]
+        assert back.y.dtype == np.int64 and back.y.tolist() == [25]
