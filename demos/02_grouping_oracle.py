@@ -9,7 +9,6 @@ error kept out of training data.
 
 from covvsched import (
     Constraint,
-    FeatureRegistry,
     GroupingConfig,
     NodeInventory,
     Op,
@@ -21,7 +20,7 @@ from covvsched import (
 )
 
 inventory = NodeInventory()
-registry = FeatureRegistry()
+registry = inventory.registry  # the columns its nodes' values occupy
 
 # a 12-node cell: every node has a unique id value, two thirds have a GPU tag
 for node in range(12):
@@ -29,7 +28,7 @@ for node in range(12):
     if node % 3:
         apply_machine_event(inventory, registry, node, "gpu", "a100" if node % 2 else "t4")
 
-print(f"cell: {inventory.node_count} nodes, {len(registry)} feature columns")
+print(f"cell: {len(inventory.nodes)} nodes, {len(registry)} feature columns")
 print()
 
 grouping = GroupingConfig(increment=5)

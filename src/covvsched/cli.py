@@ -2,9 +2,9 @@
 
 Subcommands: gen-trace, simulate, train, evaluate, sched-sim,
 inspect-model. Every subcommand accepts --config pointing at a JSON file
-(sections: trace, grouping, train, split, sched, run); flags override
-config values. Exit codes: 0 success, 1 usage error, 2 data error,
-3 training failed.
+(sections: trace, grouping, train, split, sched, run; no other); flags
+override config values. Exit codes: 0 success, 1 usage error, 2 data
+error, 3 training failed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .growing import (
     train_growing,
 )
 from .oracle import GroupingConfig, NodeInventory
-from .pipeline import dataclass_from_dict, load_run_config, run_simulation
+from .pipeline import check_sections, dataclass_from_dict, load_run_config, run_simulation
 from .schedsim import (
     POLICY_CO_ANALYZER,
     ModelClassifier,
@@ -65,8 +65,7 @@ def _load_config(path) -> dict:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config file must hold a JSON object")
+    check_sections(doc)
     return doc
 
 
@@ -155,7 +154,7 @@ def _metrics_to_json(metrics) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
-    _load_config(args.config)  # uniform surface; nothing consumed yet
+    _load_config(args.config)  # checked like every subcommand's; nothing consumed yet
     model = load_state(args.model)
     snapshot = load_snapshot(args.data)
     if snapshot.features_count != model.features_count:
@@ -163,7 +162,7 @@ def _cmd_evaluate(args) -> int:
             f"model width {model.features_count} does not match data width "
             f"{snapshot.features_count}"
         )
-    metrics = evaluate(model, snapshot.X.astype(np.float64), snapshot.y)
+    metrics = evaluate(model, snapshot.X, snapshot.y)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(_metrics_to_json(metrics), f, indent=2)
         f.write("\n")
@@ -205,7 +204,7 @@ def _cmd_sched_sim(args) -> int:
 
 
 def _cmd_inspect_model(args) -> int:
-    _load_config(args.config)  # uniform surface; nothing consumed yet
+    _load_config(args.config)  # checked like every subcommand's; nothing consumed yet
     model = load_state(args.model)
     print(f"features_count: {model.features_count}")
     print(f"hidden: {model.layer1.weights.shape[0]}")

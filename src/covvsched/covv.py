@@ -13,7 +13,7 @@ constraint and the column's value, the registry keeps each constraint's
 verdict over its attribute's columns, judging only columns added since:
 each (constraint, column) pair is judged once over a registry's life.
 Encodings are read from those verdicts, and so is the oracle's
-suitability, through a registry that catalogs the nodes' values.
+suitability, through `NodeInventory.registry`, the one registry of a run.
 
 Values compare as decimal integers when both sides are decimal strings
 (the whole string is an optional sign and ASCII digits), else by code

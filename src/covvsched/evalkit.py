@@ -20,7 +20,7 @@ log = logging.getLogger(__name__)
 class SplitConfig:
     """Holdout share and seed. The split is always stratified when every
     present class has two samples; otherwise it falls back to a plain
-    random split and says so in `Split.stratified`."""
+    random split and logs a warning."""
 
     test_fraction: float = 0.25
     seed: int = 0
@@ -36,15 +36,14 @@ class Split:
     y_train: np.ndarray
     X_test: np.ndarray
     y_test: np.ndarray
-    stratified: bool  # False when the per-class minimum forced a plain random split
 
 
 def stratified_split(snapshot: DatasetSnapshot, cfg: SplitConfig) -> Split:
     """Seeded holdout split preserving class proportions when feasible.
 
     Stratification requires at least two samples of every present class;
-    otherwise a plain seeded random split is used and the result is
-    flagged. Test counts per class follow largest-remainder rounding and
+    otherwise a plain seeded random split is used and a warning logged.
+    Test counts per class follow largest-remainder rounding and
     every class keeps at least one sample on each side.
     """
     n = len(snapshot)
@@ -60,8 +59,7 @@ def stratified_split(snapshot: DatasetSnapshot, cfg: SplitConfig) -> Split:
         n_test = min(max(1, round(n * cfg.test_fraction)), n - 1)
         test_idx = np.sort(perm[:n_test])
         train_idx = np.sort(perm[n_test:])
-        return Split(snapshot.X[train_idx], y[train_idx], snapshot.X[test_idx], y[test_idx],
-                     stratified=False)
+        return Split(snapshot.X[train_idx], y[train_idx], snapshot.X[test_idx], y[test_idx])
 
     total_test = min(max(1, round(n * cfg.test_fraction)), n - 1)
     raw = counts * cfg.test_fraction
@@ -86,8 +84,7 @@ def stratified_split(snapshot: DatasetSnapshot, cfg: SplitConfig) -> Split:
         train_parts.append(idx[take[pos]:])
     test_idx = np.sort(np.concatenate(test_parts))
     train_idx = np.sort(np.concatenate(train_parts))
-    return Split(snapshot.X[train_idx], y[train_idx], snapshot.X[test_idx], y[test_idx],
-                 stratified=True)
+    return Split(snapshot.X[train_idx], y[train_idx], snapshot.X[test_idx], y[test_idx])
 
 
 @dataclass

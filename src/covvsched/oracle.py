@@ -7,18 +7,19 @@ group 0 for exactly one suitable node, groups 1..25 in configurable
 increments.
 
 Suitability goes through an exact index that the inventory keeps up to
-date on every mutation. The inventory catalogs every (attribute, value)
-its nodes have held as the columns of a private `FeatureRegistry`, and
-per attribute keeps an array over the node rows of each row's position
-among that attribute's columns (0, the UNSET column, when unset). A
-constraint's verdict over the columns comes from the catalog, which judges
-each column once however the nodes change, and is gathered onto the rows
-through the positions; a node is suitable iff no constraint rejects its
-value. The sorted suitable ids are cached per constraint signature inside
-the inventory, and every mutation clears that cache, so `suitable_nodes`
-and `count_suitable` are the one place the answer is computed and kept.
-`node_satisfies` stays the per-node specification the index is checked
-against.
+date on every mutation. Every (attribute, value) its nodes have held is a
+column of the inventory's `registry`, and per attribute the inventory
+keeps an array over the node rows of each row's position among that
+attribute's columns (0, the UNSET column, when unset). Columns a caller
+appends, such as operand values no node holds, never move these. A
+constraint's verdict over the columns comes from the registry, which
+judges each column once however the nodes change, and is gathered onto
+the rows through the positions; a node is suitable iff no constraint
+rejects its value. The sorted suitable ids are cached per constraint
+signature inside the inventory, and every mutation clears that cache, so
+`suitable_nodes` and `count_suitable` are the one place the answer is
+computed and kept. `node_satisfies` stays the per-node specification the
+index is checked against.
 """
 
 from __future__ import annotations
@@ -64,11 +65,12 @@ class NodeInventory:
     A missing attribute reads as UNSET. Single writer (trace replay order
     defines state). Mutate only through `apply_machine_event`, which keeps
     the index in step with `nodes` and clears the suitability cache. The
-    index reads each node's value as a column of a private `FeatureRegistry`
-    that catalogs every value the nodes have held, so the registry's
-    per-constraint verdicts, which only ever extend over new columns,
-    outlive mutations. A copy starts with an empty suitability cache and a
-    copy of the catalog, whose verdict cache starts empty too.
+    index reads each node's value as a column of `registry`, which holds
+    every value the nodes have held and is the registry a run encodes
+    against too, so its per-constraint verdicts, which only ever extend
+    over new columns, outlive mutations and serve both. A copy starts with
+    an empty suitability cache and a copy of the registry (empty verdict
+    cache), so mutating the copy never adds columns to the original.
     `version` bumps on every mutation; the scheduler reads it to tell
     whether a queue was last walked at the current state.
     """
@@ -79,15 +81,11 @@ class NodeInventory:
         # The index: nodes are never dropped, so row order is `nodes` order.
         self._rows: dict[int, int] = {}
         self._capacity = 16
-        self._catalog = FeatureRegistry()  # every (attribute, value) a node has held
+        self.registry = FeatureRegistry()  # every (attribute, value) a node has held
         # attribute -> per row, the position of the row's value among the
-        # attribute's catalog columns (0, the UNSET column, when unset)
+        # attribute's registry columns (0, the UNSET column, when unset)
         self._codes: dict[str, np.ndarray] = {}
         self._suitable: dict[tuple, list[int]] = {}  # constraint signature -> sorted suitable ids
-
-    @property
-    def node_count(self) -> int:
-        return len(self.nodes)
 
     def value(self, node: int, attribute: str):
         attrs = self.nodes.get(node)
@@ -101,7 +99,7 @@ class NodeInventory:
         snap.version = self.version
         snap._rows = dict(self._rows)
         snap._capacity = self._capacity
-        snap._catalog = self._catalog.copy()
+        snap.registry = self.registry.copy()
         snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
         return snap  # with its own, empty caches
 
@@ -120,12 +118,12 @@ class NodeInventory:
 
     def _set(self, node: int, attribute: str, value: str) -> None:
         row = self._row(node)
-        column = self._catalog.register(attribute, value)
+        column = self.registry.register(attribute, value)
         codes = self._codes.get(attribute)
         if codes is None:
             codes = self._codes[attribute] = np.zeros(self._capacity, dtype=np.int32)
         self.nodes[node][attribute] = value
-        codes[row] = bisect_left(self._catalog._by_attr[attribute], column)
+        codes[row] = bisect_left(self.registry._by_attr[attribute], column)
         self.version += 1
         self._suitable.clear()
 
@@ -141,7 +139,7 @@ class NodeInventory:
     def _suitable_nodes(self, task: TaskConstraintSet) -> list[int]:
         """Sorted ids of the nodes no constraint rejects, cached per constraint signature.
 
-        Each constraint's catalog verdicts are gathered onto the rows through
+        Each constraint's registry verdicts are gathered onto the rows through
         the codes; an attribute no node has held reads UNSET on every node.
         """
         nodes = self._suitable.get(task.constraints)
@@ -154,7 +152,7 @@ class NodeInventory:
             if codes is None:
                 mask &= value_satisfies(constraint, UNSET)
             else:
-                mask &= self._catalog._verdict(constraint)[codes[:n]]
+                mask &= self.registry._verdict(constraint)[codes[:n]]
         nodes = self._suitable[task.constraints] = sorted(compress(self.nodes, mask.tolist()))
         return nodes
 
@@ -168,9 +166,9 @@ def apply_machine_event(
 ) -> None:
     """Set one node attribute, or remove it when value is None.
 
-    Setting registers the concrete value as a registry column; this is the
-    source of feature growth during cluster operation. Removing an absent
-    attribute is a no-op.
+    Setting registers the concrete value as a column of `registry` (in a
+    run, the inventory's own); this is the source of feature growth during
+    cluster operation. Removing an absent attribute is a no-op.
     """
     if value is None:
         inventory._remove(node, attribute)

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .covv import FeatureRegistry
 from .evalkit import SplitConfig, StepReport, stratified_split, write_report
 from .growing import MODE_FAILED, TrainConfig, train_full, train_growing
 from .neural import TwoLayerClassifier
@@ -33,8 +32,7 @@ from .trace import (
     SyntheticTraceConfig,
     TaskEvent,
     build_snapshot,
-    generate_trace,
-    parse_events,
+    generate_events,
     read_trace,
 )
 
@@ -110,18 +108,25 @@ def dataclass_from_dict(cls, data: dict, where: str):
         raise ConfigError(f"bad {where} config: {exc}") from None
 
 
-def load_run_config(doc: dict, **overrides) -> RunConfig:
-    """Build a RunConfig from a parsed config file plus flag overrides."""
+CONFIG_SECTIONS = frozenset({"trace", "grouping", "train", "split", "sched", "run"})
+
+
+def check_sections(doc) -> None:
+    """ConfigError unless a parsed config file is an object of known sections."""
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    known_sections = {"trace", "grouping", "train", "split", "sched", "run"}
-    unknown = sorted(set(doc) - known_sections)
+    unknown = sorted(set(doc) - CONFIG_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
+
+
+def load_run_config(doc: dict, **overrides) -> RunConfig:
+    """Build a RunConfig from a parsed config file plus flag overrides."""
+    check_sections(doc)
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("section 'run' must be an object")
-    nested = sorted(set(run) & known_sections)
+    nested = sorted(set(run) & CONFIG_SECTIONS)
     if nested:
         raise ConfigError(f"section(s) nested inside run: {', '.join(nested)}; "
                           "give them at the top level")
@@ -165,10 +170,10 @@ def run_simulation(cfg: RunConfig) -> RunResult:
     if cfg.trace_path is not None:
         events = read_trace(cfg.trace_path)
     else:
-        events = list(parse_events(generate_trace(cfg.trace)))
+        events = generate_events(cfg.trace)
 
-    registry = FeatureRegistry()
     inventory = NodeInventory()
+    registry = inventory.registry  # encodes and labels: one verdict cache
     window: list = []
     history: deque = deque(maxlen=cfg.history_windows)
     growing_model: TwoLayerClassifier | None = None  # carried across steps

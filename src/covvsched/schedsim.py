@@ -123,7 +123,7 @@ class OracleClassifier:
         self.grouping = grouping
         self._inventory = NodeInventory()
 
-    def refresh(self, inventory: NodeInventory, registry: FeatureRegistry) -> None:
+    def refresh(self, inventory: NodeInventory) -> None:
         self._inventory = inventory.copy()
 
     def predict(self, task: TaskConstraintSet) -> int:
@@ -131,7 +131,7 @@ class OracleClassifier:
 
 
 class ModelClassifier:
-    """Trained-model predictions over a frozen registry snapshot.
+    """Trained-model predictions over a frozen copy of the inventory's registry.
 
     Columns beyond the model's input width are ignored, which matches a
     zero-extended model exactly; a narrower registry zero-pads. Between two
@@ -145,8 +145,8 @@ class ModelClassifier:
         self._registry = FeatureRegistry()
         self._predictions: dict = {}  # constraint signature -> group
 
-    def refresh(self, inventory: NodeInventory, registry: FeatureRegistry) -> None:
-        self._registry = registry.copy()
+    def refresh(self, inventory: NodeInventory) -> None:
+        self._registry = inventory.registry.copy()
         self._predictions.clear()
 
     def predict(self, task: TaskConstraintSet) -> int:
@@ -195,7 +195,6 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     if cfg.policy == POLICY_CO_ANALYZER and classifier is None:
         raise ValueError("co-analyzer policy requires a classifier")
     grouping = grouping or GroupingConfig()
-    registry = FeatureRegistry()
 
     by_tick: dict[int, list[TraceEvent]] = {}
     for event in events:
@@ -217,7 +216,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
     submitted = unplaced = 0
 
     if classifier is not None:
-        classifier.refresh(inventory, registry)
+        classifier.refresh(inventory)
 
     def dispatch_queue(queue: _Queue, tick: int, budget: int) -> tuple[int, int]:
         nonlocal running, unplaced
@@ -264,8 +263,8 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
             changed = False
             for event in by_tick[event_ticks[next_event]]:
                 if isinstance(event, MachineEvent):
-                    apply_machine_event(inventory, registry, event.node, event.attribute,
-                                        event.value)
+                    apply_machine_event(inventory, inventory.registry, event.node,
+                                        event.attribute, event.value)
                     if event.node not in slots_free:
                         slots_free[event.node] = cfg.slots_per_node
                         free_nodes.add(event.node)
@@ -297,7 +296,7 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
         # model updates never block dispatch; they swap the snapshot between ticks
         while refresh_due and refresh_due[0] <= tick:
             heapq.heappop(refresh_due)
-            classifier.refresh(inventory, registry)
+            classifier.refresh(inventory)
 
         while releases and releases[0][0] <= tick:
             _, node = heapq.heappop(releases)

@@ -13,7 +13,7 @@ import json
 import logging
 import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -101,23 +101,17 @@ def _require(obj: dict, key: str, types, lineno: int):
     return value
 
 
-def parse_events(source: Union[bytes, str, IO, Iterable[str]]) -> Iterator[TraceEvent]:
+def parse_events(source: bytes | str) -> Iterator[TraceEvent]:
     """Parse a JSONL trace, yielding events in file order.
 
     Validates the schema, time monotonicity and task-id uniqueness; every
     failure names the offending line.
     """
     if isinstance(source, bytes):
-        lines: Iterable[str] = source.decode("utf-8").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    else:
-        lines = source
+        source = source.decode("utf-8")
     last_time = None
     task_ids: set[int] = set()
-    for lineno, raw in enumerate(lines, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+    for lineno, raw in enumerate(source.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -245,8 +239,14 @@ def _generic_constraints(rng: np.random.Generator, cfg: SyntheticTraceConfig) ->
 
 
 def generate_trace(cfg: SyntheticTraceConfig) -> bytes:
-    """Produce a byte-identical trace for a fixed config.
+    """The JSONL bytes of `generate_events(cfg)`, identical for a fixed config."""
+    return serialize_events(generate_events(cfg))
 
+
+def generate_events(cfg: SyntheticTraceConfig) -> list[TraceEvent]:
+    """The synthetic trace's events in time order, the same for a fixed config.
+
+    Each event equals its copy parsed back from `generate_trace(cfg)`.
     Bootstrap machine events come first: each node gets one unique value of
     UNIQUE_ATTRIBUTE plus a drawn value per general attribute. Task
     submissions then interleave with growth injections, which set a
@@ -287,11 +287,10 @@ def generate_trace(cfg: SyntheticTraceConfig) -> bytes:
         duration = max(1, int(rng.exponential(cfg.duration_mean_us)))
         events.append(TaskEvent(int(times[i]), TaskConstraintSet(i, constraints), duration))
 
-    # stable order: machine reconfiguration applies before same-time submissions
+    # stable sort: machine reconfiguration applies before same-time submissions
     order = {MachineEvent: 0, TaskEvent: 1}
-    indexed = list(enumerate(events))
-    indexed.sort(key=lambda pair: (pair[1].time, order[type(pair[1])], pair[0]))
-    return serialize_events(e for _, e in indexed)
+    events.sort(key=lambda e: (e.time, order[type(e)]))
+    return events
 
 
 @dataclass
@@ -329,7 +328,7 @@ def build_snapshot(
     for its task, at the width of that moment, zero-padded to the final
     length: a column registered by a later task of the same snapshot stays
     0 in an earlier row. Encodings and labels come from the registry's and
-    the inventory's own caches.
+    the inventory's caches, one verdict cache when `registry` is its own.
     """
     rows: list[np.ndarray] = []
     labels: list[int] = []

@@ -15,7 +15,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from covvsched.covv import FeatureRegistry, TaskConstraintSet
+from covvsched.covv import TaskConstraintSet
 from covvsched.oracle import GroupingConfig, apply_machine_event, group_label, node_satisfies
 from covvsched.schedsim import POLICY_CO_ANALYZER, LatencySample, SimResult
 from covvsched.trace import MachineEvent
@@ -38,7 +38,6 @@ class _Queued:
 
 def reference_simulate(events, inventory, classifier, cfg, grouping=None) -> SimResult:
     grouping = grouping or GroupingConfig()
-    registry = FeatureRegistry()
     by_tick = {}
     for event in events:
         by_tick.setdefault(event.time // cfg.tick_us, []).append(event)
@@ -52,7 +51,7 @@ def reference_simulate(events, inventory, classifier, cfg, grouping=None) -> Sim
     high, main, samples, queue_trace = [], [], [], []
     submitted = unplaced = 0
     if classifier is not None:
-        classifier.refresh(inventory, registry)
+        classifier.refresh(inventory)
 
     def dispatch_queue(queue, tick, budget):
         nonlocal release_seq, unplaced
@@ -88,8 +87,8 @@ def reference_simulate(events, inventory, classifier, cfg, grouping=None) -> Sim
             changed = False
             for event in by_tick[tick]:
                 if isinstance(event, MachineEvent):
-                    apply_machine_event(inventory, registry, event.node, event.attribute,
-                                        event.value)
+                    apply_machine_event(inventory, inventory.registry, event.node,
+                                        event.attribute, event.value)
                     slots_free.setdefault(event.node, cfg.slots_per_node)
                     changed = True
                     continue
@@ -113,7 +112,7 @@ def reference_simulate(events, inventory, classifier, cfg, grouping=None) -> Sim
 
         while refresh_due and refresh_due[0] <= tick:
             heapq.heappop(refresh_due)
-            classifier.refresh(inventory, registry)
+            classifier.refresh(inventory)
 
         while releases and releases[0][0] <= tick:
             _, _, node = heapq.heappop(releases)

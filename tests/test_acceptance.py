@@ -53,8 +53,7 @@ from covvsched.trace import (
     MachineEvent,
     SyntheticTraceConfig,
     TaskEvent,
-    generate_trace,
-    parse_events,
+    generate_events,
 )
 
 DESK_SEEDS = (11, 12, 13, 14, 15)
@@ -220,7 +219,7 @@ def test_criterion_05_oracle_equivalence():
     cfg = SyntheticTraceConfig(
         node_count=200, attribute_count=8, values_per_attribute=10,
         task_count=1000, constrained_fraction=0.45, restrictive_rate=100, seed=505)
-    events = list(parse_events(generate_trace(cfg)))
+    events = generate_events(cfg)
     inventory, registry = NodeInventory(), FeatureRegistry()
     grouping = GroupingConfig(increment=500)
     agree = total = 0

@@ -337,6 +337,32 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["gen-trace", "simulate", "train", "evaluate",
+                                         "sched-sim", "inspect-model"])
+    def test_unknown_section_exits_2(self, tmp_path, config_file, snapshot_file, capsys,
+                                     command):
+        # every input is valid, so only the misspelt section can fail the run
+        model = tmp_path / "model.json"
+        save_state(init_model(load_snapshot(snapshot_file).features_count, seed=1), model)
+        trace = tmp_path / "trace.jsonl"
+        assert main(["gen-trace", "--config", str(config_file), "--out", str(trace)]) == EXIT_OK
+        doc = json.loads(config_file.read_text())
+        doc["trian"] = doc.pop("train")
+        config_file.write_text(json.dumps(doc))
+        out = str(tmp_path / "o")
+        args = {
+            "gen-trace": ["--out", out],
+            "simulate": ["--out-dir", out],
+            "train": ["--data", str(snapshot_file), "--out", out],
+            "evaluate": ["--model", str(model), "--data", str(snapshot_file), "--out", out],
+            "sched-sim": ["--trace", str(trace), "--policy", "fifo", "--out", out],
+            "inspect-model": ["--model", str(model)],
+        }[command]
+        capsys.readouterr()
+        assert main([command, "--config", str(config_file), *args]) == EXIT_DATA
+        assert "unknown config section(s): trian" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command,section", [
         ("gen-trace", "trace"), ("train", "train"), ("sched-sim", "sched"),
     ])

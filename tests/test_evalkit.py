@@ -23,19 +23,19 @@ def snapshot_from_labels(y, features=4):
 
 
 class TestStratifiedSplit:
-    def test_proportions_preserved(self):
+    def test_proportions_preserved(self, caplog):
         y = np.repeat([0, 1, 2, 3], 25)
         split = stratified_split(snapshot_from_labels(y), SplitConfig(seed=1))
         assert len(split.y_test) == 25
         for cls in range(4):
             assert 6 <= (split.y_test == cls).sum() <= 7
             assert (split.y_train == cls).sum() + (split.y_test == cls).sum() == 25
-        assert split.stratified
+        assert "falling back" not in caplog.text
 
-    def test_singleton_class_falls_back_to_random(self):
+    def test_singleton_class_falls_back_to_random(self, caplog):
         y = np.array([0] + [1] * 49)
         split = stratified_split(snapshot_from_labels(y), SplitConfig(seed=1))
-        assert not split.stratified
+        assert "falling back to plain random split" in caplog.text
         assert len(split.y_test) + len(split.y_train) == 50
 
     def test_same_seed_same_partition(self):

@@ -38,7 +38,7 @@ def make_split(X, y, test_fraction=0.25, seed=0):
     perm = rng.permutation(n)
     k = max(1, int(n * test_fraction))
     test, train = perm[:k], perm[k:]
-    return Split(X[train], y[train], X[test], y[test], stratified=True)
+    return Split(X[train], y[train], X[test], y[test])
 
 
 def separable_data(n=200, seed=0, features=3):
@@ -236,7 +236,7 @@ class TestTrainGrowing:
         wider = Split(np.hstack([split.X_train, np.zeros((len(split.X_train), 2))]),
                       split.y_train,
                       np.hstack([split.X_test, np.zeros((len(split.X_test), 2))]),
-                      split.y_test, stratified=True)
+                      split.y_test)
         grown, outcome = train_growing(model, wider, TrainConfig(seed=2))
         assert outcome.mode == MODE_GROWN
         assert outcome.epochs_used == 0
@@ -279,7 +279,7 @@ class TestTrainGrowing:
 
     def test_empty_training_set_rejected(self):
         split = Split(np.zeros((0, 3)), np.zeros(0, dtype=np.int64),
-                      np.zeros((2, 3)), np.zeros(2, dtype=np.int64), True)
+                      np.zeros((2, 3)), np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match="empty training set"):
             train_growing(init_model(3, seed=1), split, TrainConfig())
 

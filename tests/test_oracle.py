@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import inventory_from_jsonl, inventory_to_jsonl
 
-from covvsched.covv import UNSET, Constraint, FeatureRegistry, Op, TaskConstraintSet
+from covvsched.covv import UNSET, Constraint, FeatureRegistry, Op, TaskConstraintSet, encode_task
 from covvsched.oracle import (
     UNSCHEDULABLE,
     GroupingConfig,
@@ -245,10 +245,16 @@ _NODE_IDS = st.integers(-3, 12)
 _HELD_ATTRS = ("a", "b", "c")
 _VALUES = ("0", "1", "01", "+1", "-1", "2", "10", "x", "y")
 
-_events = st.lists(st.one_of(
+_machine_events = st.one_of(
     st.tuples(st.just("set"), _NODE_IDS, st.sampled_from(_HELD_ATTRS), st.sampled_from(_VALUES)),
     st.tuples(st.just("remove"), _NODE_IDS, st.sampled_from(_HELD_ATTRS), st.none()),
-), max_size=40)
+)
+_events = st.lists(_machine_events, max_size=40)
+# columns a caller appends to the inventory's registry: values no event
+# sets ("97", "z") and attribute "d" among them
+_operand_columns = st.tuples(st.just("register"), st.none(), st.sampled_from(_HELD_ATTRS + ("d",)),
+                             st.sampled_from(_VALUES + ("97", "z")))
+_events_with_operands = st.lists(st.one_of(_machine_events, _operand_columns), max_size=40)
 
 
 @st.composite
@@ -268,8 +274,11 @@ _tasks = st.lists(st.lists(_constraints(), max_size=3), min_size=1, max_size=6).
 
 
 def _replay(inv, reg, events):
-    for _, node, attribute, value in events:
-        apply_machine_event(inv, reg, node, attribute, value)
+    for kind, node, attribute, value in events:
+        if kind == "register":
+            inv.registry.register(attribute, value)
+        else:
+            apply_machine_event(inv, reg, node, attribute, value)
 
 
 def _assert_index_matches_spec(inv, tasks):
@@ -308,6 +317,27 @@ class TestSuitabilityIndex:
         assert snap.nodes == snap_nodes
         assert [count_suitable(snap, t) for t in tasks] == snap_counts
         _assert_index_matches_spec(inv, tasks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(events=_events_with_operands, tasks=_tasks)
+    def test_operand_columns_in_the_shared_registry_keep_the_index_exact(self, events, tasks):
+        # as in a run: encoding against the inventory's registry appends the
+        # tasks' operand columns before and between the nodes' values
+        inv = NodeInventory()
+        for event in events:
+            _replay(inv, inv.registry, [event])
+            for task in tasks:
+                encode_task(task, inv.registry)
+            _assert_index_matches_spec(inv, tasks)
+
+    def test_copy_grows_a_registry_of_its_own(self):
+        inv = NodeInventory()
+        apply_machine_event(inv, inv.registry, 0, "a", "1")
+        snap = inv.copy()
+        apply_machine_event(snap, snap.registry, 0, "a", "2")
+        snap.registry.register("b", "x")
+        assert inv.registry.columns == [("a", UNSET), ("a", "1")]
+        assert count_suitable(inv, TaskConstraintSet(0, (Constraint("a", Op.EQ, ("1",)),))) == 1
 
     def test_node_without_attributes_reads_unset(self):
         # removing a node's last attribute keeps the node, now UNSET everywhere

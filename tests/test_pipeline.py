@@ -11,6 +11,7 @@ from helpers import json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covvsched import covv
 from covvsched.covv import Constraint, Op, TaskConstraintSet
 from covvsched.evalkit import SplitConfig
 from covvsched.growing import TrainConfig
@@ -33,8 +34,7 @@ from covvsched.trace import (
     MachineEvent,
     SyntheticTraceConfig,
     TaskEvent,
-    generate_trace,
-    parse_events,
+    generate_events,
     serialize_events,
 )
 
@@ -108,6 +108,21 @@ class TestRunSimulation:
         assert sum(r.epochs for r in growing[1:]) <= sum(
             r.epochs for r in result.reports if r.model == ARM_FULLY_RETRAIN)
         assert result.models[ARM_GROWING].extension_history
+
+    def test_each_constraint_value_pair_is_judged_once(self, tmp_path, monkeypatch):
+        # encoding and labelling read the verdicts of one registry, the
+        # inventory's, so no pair is judged for each of them
+        judged = []
+        judge = covv._judge
+
+        def spy(constraint, values, forms):
+            judged.extend((constraint, v) for v in values)
+            return judge(constraint, values, forms)
+
+        monkeypatch.setattr(covv, "_judge", spy)
+        run_simulation(small_run(tmp_path, trace=small_trace(tasks=400), arms=(ARM_GROWING,)))
+        assert judged
+        assert len(judged) == len(set(judged))
 
     def bulk_growth_trace(self):
         # constrained tasks are exclusively single-node pins, so training is
@@ -289,7 +304,7 @@ def golden_trace():
     share their signatures, in four windows: operand-only columns then
     appear mid-snapshot, and history tasks are encoded again at a wider
     registry."""
-    events = list(parse_events(generate_trace(small_trace(seed=5, growth_steps=3, tasks=800))))
+    events = generate_events(small_trace(seed=5, growth_steps=3, tasks=800))
     tid = 100_000
     for start, v in ((500_000, "97"), (1_800_000, "98"), (3_200_000, "99"), (6_000_000, "96")):
         signatures = (

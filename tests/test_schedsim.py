@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sched_reference import reference_simulate
 
-from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet
+from covvsched.covv import Constraint, Op, TaskConstraintSet
 from covvsched.neural import CLASS_COUNT, DenseLayer, TwoLayerClassifier
 from covvsched.oracle import GroupingConfig, NodeInventory, apply_machine_event
 from covvsched.schedsim import (
@@ -20,8 +20,7 @@ from covvsched.trace import (
     MachineEvent,
     SyntheticTraceConfig,
     TaskEvent,
-    generate_trace,
-    parse_events,
+    generate_events,
 )
 
 
@@ -43,7 +42,7 @@ class StubClassifier:
     def __init__(self, group):
         self.group = group
 
-    def refresh(self, inventory, registry):
+    def refresh(self, inventory):
         pass
 
     def predict(self, task):
@@ -153,7 +152,7 @@ class TestQueueDiscipline:
     def test_node_of_the_given_inventory_has_slots(self):
         # node 5 is never touched by a machine event in the trace
         inv = NodeInventory()
-        apply_machine_event(inv, FeatureRegistry(), 5, "uid", "5")
+        apply_machine_event(inv, inv.registry, 5, "uid", "5")
         res = simulate(bootstrap(2) + [pin(0, 3000, node=5)], inv, None,
                        SchedulerConfig(policy="fifo"))
         assert [(s.task_id, s.submit_tick, s.placement_tick) for s in res.samples] == [(0, 3, 3)]
@@ -197,11 +196,11 @@ class TestSnapshotDelay:
 
 class TestClassifiers:
     def test_oracle_classifier_predictions(self):
-        inv, reg = NodeInventory(), FeatureRegistry()
+        inv = NodeInventory()
         for n in range(200):
-            apply_machine_event(inv, reg, n, "uid", str(n))
+            apply_machine_event(inv, inv.registry, n, "uid", str(n))
         clf = OracleClassifier(GroupingConfig(increment=500))
-        clf.refresh(inv, reg)
+        clf.refresh(inv)
         assert clf.predict(TaskConstraintSet(0, (Constraint("uid", Op.EQ, ("7",)),))) == 0
         # min(25, ceil(200 / 500)) for the unconstrained task
         assert clf.predict(TaskConstraintSet(1)) == 1
@@ -212,14 +211,14 @@ class TestClassifiers:
         model = TwoLayerClassifier(DenseLayer(np.zeros((30, 6)), np.zeros(30)),
                                    DenseLayer(np.zeros((CLASS_COUNT, 30)), b2))
         clf = ModelClassifier(model)
-        reg = FeatureRegistry()
+        inv = NodeInventory()
         for v in range(2):
-            reg.register("a", str(v))  # narrower than the model
-        clf.refresh(NodeInventory(), reg)
+            inv.registry.register("a", str(v))  # narrower than the model
+        clf.refresh(inv)
         assert clf.predict(TaskConstraintSet(0, (Constraint("a", Op.EQ, ("0",)),))) == 3
         for v in range(20):
-            reg.register("a", str(v))  # wider than the model
-        clf.refresh(NodeInventory(), reg)
+            inv.registry.register("a", str(v))  # wider than the model
+        clf.refresh(inv)
         assert clf.predict(TaskConstraintSet(0, (Constraint("a", Op.EQ, ("0",)),))) == 3
 
     def test_refresh_that_adds_a_column_changes_a_memoized_prediction(self):
@@ -234,14 +233,34 @@ class TestClassifiers:
         clf = ModelClassifier(TwoLayerClassifier(DenseLayer(w1, np.zeros(30)),
                                                  DenseLayer(w2, b2)))
         t = TaskConstraintSet(0, (Constraint("a", Op.EQ, ("0",)),))
-        reg = FeatureRegistry()
-        reg.register("a", "0")
-        clf.refresh(NodeInventory(), reg)
+        inv = NodeInventory()
+        inv.registry.register("a", "0")
+        clf.refresh(inv)
         assert clf.predict(t) == 3
-        reg.register("a", "1")  # the task rejects this value: its bit is set
+        inv.registry.register("a", "1")  # the task rejects this value: its bit is set
         assert clf.predict(t) == 3  # the registry copy is frozen until a refresh
-        clf.refresh(NodeInventory(), reg)
+        clf.refresh(inv)
         assert clf.predict(t) == 0
+
+    def test_model_reads_the_columns_of_a_prepopulated_inventory(self):
+        # the inventory passed in holds "a" = "0" and "1" before the trace
+        # bootstraps "uid", so column 2 is ("a", "1"); it drives hidden unit
+        # 0, which outvotes the bias's group 3
+        w1 = np.zeros((30, 6))
+        w1[0, 2] = 1.0
+        w2 = np.zeros((CLASS_COUNT, 30))
+        w2[0, 0] = 10.0
+        b2 = np.zeros(CLASS_COUNT)
+        b2[3] = 1.0
+        model = TwoLayerClassifier(DenseLayer(w1, np.zeros(30)), DenseLayer(w2, b2))
+        inv = NodeInventory()
+        for node, value in enumerate("01"):
+            apply_machine_event(inv, inv.registry, node, "a", value)
+        rejects_a1 = (Constraint("a", Op.EQ, ("0",)),)
+        events = bootstrap(2) + [task(0, 1000, constraints=rejects_a1), task(1, 1000)]
+        res = simulate(events, inv, ModelClassifier(model), SchedulerConfig(policy="co-analyzer"))
+        assert inv.registry.column(2) == ("a", "1")
+        assert {s.task_id: s.predicted_group for s in res.samples} == {0: 0, 1: 3}
 
     def test_model_classifier_routes_in_simulation(self):
         events = bootstrap(4) + [task(0, 1000), task(1, 1500)]
@@ -282,7 +301,7 @@ class TestLatencyStats:
 class ModuloClassifier:
     """Predicts from the task id, so both queues fill whatever the cluster holds."""
 
-    def refresh(self, inventory, registry):
+    def refresh(self, inventory):
         pass
 
     def predict(self, task):
@@ -349,9 +368,9 @@ def _sim_events(bootstrap, steps, remove_only_node):
 
 
 def _sim_outcome(run, events, preload, classifier, cfg):
-    inv, reg = NodeInventory(), FeatureRegistry()
+    inv = NodeInventory()
     for node, attribute, value in preload:
-        apply_machine_event(inv, reg, node, attribute, value)
+        apply_machine_event(inv, inv.registry, node, attribute, value)
     clf = {None: None, "oracle": OracleClassifier(GroupingConfig(increment=2)),
            "modulo": ModuloClassifier()}[classifier]
     res = run(events, inv, clf, cfg, GroupingConfig(increment=2))
@@ -413,7 +432,7 @@ def golden_events():
         constrained_fraction=0.4, restrictive_rate=15,
         growth_schedule=tuple((scale(2_000_000 + i * 2_000_000), 3) for i in range(20)),
         span_us=scale(44_000_000), seed=11)
-    return list(parse_events(generate_trace(cfg)))
+    return generate_events(cfg)
 
 
 def output_digest(result):

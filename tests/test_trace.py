@@ -22,6 +22,7 @@ from covvsched.trace import (
     TaskEvent,
     TraceFormatError,
     build_snapshot,
+    generate_events,
     generate_trace,
     load_snapshot,
     parse_events,
@@ -173,7 +174,30 @@ class TestParseFuzz:
                 assert all(isinstance(o, str) for o in c.operands)
 
 
+@st.composite
+def _small_trace_configs(draw):
+    values = draw(st.integers(1, 5))
+    constrained = draw(st.floats(0.0, 1.0))
+    growth = draw(st.lists(st.tuples(st.integers(0, 3_000), st.integers(1, values)), max_size=3))
+    return SyntheticTraceConfig(
+        node_count=draw(st.integers(1, 12)), attribute_count=draw(st.integers(1, 3)),
+        values_per_attribute=values, task_count=draw(st.integers(1, 40)),
+        constrained_fraction=constrained,
+        # 9,999 keeps the rate inside the fraction despite float rounding
+        restrictive_rate=draw(st.floats(0.0, 9_999.0 * constrained)),
+        growth_schedule=tuple(growth), duration_mean_us=draw(st.integers(1, 5_000)),
+        span_us=draw(st.integers(1, 3_000)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
 class TestGenerateTrace:
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_small_trace_configs())
+    def test_events_equal_their_parsed_trace(self, cfg):
+        events = generate_events(cfg)
+        assert list(parse_events(generate_trace(cfg))) == events
+        # equality would let a numpy integer pass for an int
+        assert all(type(e.time) is int for e in events)
+
     def test_deterministic_bytes(self):
         cfg = SyntheticTraceConfig(node_count=10, attribute_count=3, values_per_attribute=4,
                                    task_count=200, seed=42)
@@ -189,7 +213,7 @@ class TestGenerateTrace:
     def test_constrained_share_near_target(self):
         cfg = SyntheticTraceConfig(node_count=50, attribute_count=4, values_per_attribute=6,
                                    task_count=10_000, constrained_fraction=0.40, seed=9)
-        events = list(parse_events(generate_trace(cfg)))
+        events = generate_events(cfg)
         tasks = [e for e in events if isinstance(e, TaskEvent)]
         share = sum(1 for t in tasks if t.task.constraints) / len(tasks)
         assert abs(share - 0.40) <= 0.02
@@ -200,7 +224,7 @@ class TestGenerateTrace:
         cfg = SyntheticTraceConfig(node_count=200, attribute_count=4, values_per_attribute=10,
                                    task_count=20_000, constrained_fraction=0.40,
                                    restrictive_rate=15, seed=10)
-        events = list(parse_events(generate_trace(cfg)))
+        events = generate_events(cfg)
         inv, reg = NodeInventory(), FeatureRegistry()
         for e in events:
             if isinstance(e, MachineEvent):
@@ -222,7 +246,7 @@ class TestGenerateTrace:
         cfg = SyntheticTraceConfig(node_count=10, attribute_count=3, values_per_attribute=4,
                                    task_count=20, span_us=10_000,
                                    growth_schedule=((2_000, 2), (5_000, 3)), seed=4)
-        events = list(parse_events(generate_trace(cfg)))
+        events = generate_events(cfg)
         inv, reg = NodeInventory(), FeatureRegistry()
         sizes = {}
         for e in events:
@@ -317,7 +341,7 @@ class TestSnapshotLabelFidelity:
         cfg = SyntheticTraceConfig(node_count=60, attribute_count=4, values_per_attribute=6,
                                    task_count=300, constrained_fraction=0.5,
                                    restrictive_rate=100, seed=14)
-        events = list(parse_events(generate_trace(cfg)))
+        events = generate_events(cfg)
         inv, reg = NodeInventory(), FeatureRegistry()
         for e in events:
             if isinstance(e, MachineEvent):
