@@ -229,7 +229,10 @@ class FeatureRegistry:
     It keeps each constraint's verdict over its attribute's columns, and
     each signature's `encode_task` row (read-only, at the width of the last
     request). Neither needs invalidation, only extension over the columns
-    appended since; each copy starts with empty caches of its own.
+    appended since, and extension builds a new array, so a cached array
+    never changes. A copy therefore starts with copies of both caches:
+    every entry covers only columns the copy holds too, and the copy and
+    the original extend their own entries apart.
     """
 
     def __init__(self):
@@ -287,7 +290,9 @@ class FeatureRegistry:
         snap._forms = list(self._forms)
         snap._index = dict(self._index)
         snap._by_attr = {a: list(ix) for a, ix in self._by_attr.items()}
-        return snap  # with its own, empty verdict and encoding caches
+        snap._verdicts = dict(self._verdicts)
+        snap._encodings = dict(self._encodings)
+        return snap
 
     def _verdict(self, constraint: Constraint) -> np.ndarray:
         """Whether each column of the constraint's attribute satisfies it, in
@@ -369,14 +374,6 @@ def encode_task(task: TaskConstraintSet, registry: FeatureRegistry, *, register:
         for constraint in task.constraints:
             _register_constraint(registry, constraint)
     return registry._encoding(task.constraints)
-
-
-def constraint_to_json(constraint: Constraint) -> dict:
-    return {
-        "attr": constraint.attribute,
-        "op": constraint.op.value,
-        "operands": list(constraint.operands),
-    }
 
 
 def constraint_from_json(obj: dict) -> Constraint:

@@ -69,8 +69,8 @@ class NodeInventory:
     every value the nodes have held and is the registry a run encodes
     against too, so its per-constraint verdicts, which only ever extend
     over new columns, outlive mutations and serve both. A copy starts with
-    an empty suitability cache and a copy of the registry (empty verdict
-    cache), so mutating the copy never adds columns to the original.
+    an empty suitability cache and a copy of the registry, verdicts
+    included, so mutating the copy never adds columns to the original.
     `version` bumps on every mutation; the scheduler reads it to tell
     whether a queue was last walked at the current state.
     """
@@ -101,7 +101,7 @@ class NodeInventory:
         snap._capacity = self._capacity
         snap.registry = self.registry.copy()
         snap._codes = {a: codes.copy() for a, codes in self._codes.items()}
-        return snap  # with its own, empty caches
+        return snap  # with its own, empty suitability cache
 
     def _row(self, node: int) -> int:
         row = self._rows.get(node)

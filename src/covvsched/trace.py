@@ -5,6 +5,15 @@ non-decreasing in time. The synthetic generator produces cluster bootstrap
 events, a task mix with a controlled constrained share, rare tasks
 engineered to fit exactly one node, and scheduled injections of brand-new
 attribute values that grow the feature registry mid-run.
+
+The codec writes and reads the bytes `json.dumps(..., separators=(",", ":"))`
+gives for each event's object, one object per line. The writer formats each
+line directly, escaping every string with the escaper `json.dumps` uses, so
+the output is ASCII: a non-ASCII character is written as its JSON escape.
+The reader splits lines at newlines only (U+2028 and the other characters
+`str.splitlines` also breaks at are data inside a JSON string), decodes
+each line with the C scanner `json.loads` uses, and calls `json.loads`
+itself only for a line the scanner refuses, to raise its error message.
 """
 
 from __future__ import annotations
@@ -12,7 +21,9 @@ from __future__ import annotations
 import json
 import logging
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -24,12 +35,15 @@ from .covv import (
     TaskConstraintSet,
     _canonical,
     constraint_from_json,
-    constraint_to_json,
     encode_task,
 )
 from .oracle import GROUP_COUNT, UNSCHEDULABLE, GroupingConfig, NodeInventory, count_suitable, group_label
 
 log = logging.getLogger(__name__)
+
+# what json.loads runs on a line: (object, end index), StopIteration when no
+# value starts at the index
+_scan = json.JSONDecoder().scan_once
 
 # int() refuses no string this short, whatever its digit limit is set to
 _INT_SAFE_LENGTH = getattr(sys.int_info, "str_digits_check_threshold", 0)
@@ -65,36 +79,32 @@ class TaskEvent:
 TraceEvent = Union[MachineEvent, TaskEvent]
 
 
-def event_to_json(event: TraceEvent) -> dict:
-    if isinstance(event, MachineEvent):
-        return {
-            "t": event.time,
-            "kind": "machine",
-            "node": event.node,
-            "attr": event.attribute,
-            "val": event.value,
-        }
-    return {
-        "t": event.time,
-        "kind": "task",
-        "id": event.task.task_id,
-        "dur": event.duration,
-        "cons": [constraint_to_json(c) for c in event.task.constraints],
-    }
-
-
-def event_to_line(event: TraceEvent) -> str:
-    return json.dumps(event_to_json(event), separators=(",", ":"))
+def _constraint_json(c: Constraint) -> str:
+    operands = ",".join(map(_quote, c.operands))
+    return f'{{"attr":{_quote(c.attribute)},"op":"{c.op.value}","operands":[{operands}]}}'
 
 
 def serialize_events(events: Iterable[TraceEvent]) -> bytes:
-    return "".join(event_to_line(e) + "\n" for e in events).encode("utf-8")
+    """The JSONL bytes `json.dumps(obj, separators=(",", ":"))` gives for each event's object."""
+    lines = []
+    for e in events:
+        if isinstance(e, MachineEvent):
+            val = "null" if e.value is None else _quote(e.value)
+            lines.append(f'{{"t":{e.time},"kind":"machine","node":{e.node},'
+                         f'"attr":{_quote(e.attribute)},"val":{val}}}\n')
+        else:
+            cons = ",".join(map(_constraint_json, e.task.constraints))
+            lines.append(f'{{"t":{e.time},"kind":"task","id":{e.task.task_id},'
+                         f'"dur":{e.duration},"cons":[{cons}]}}\n')
+    return "".join(lines).encode("ascii")
 
 
 def _require(obj: dict, key: str, types, lineno: int):
+    value = obj.get(key)
+    if type(value) is types:  # JSON's only int subclass is bool, refused below
+        return value
     if key not in obj:
         raise TraceFormatError(f"line {lineno}: missing key {key!r}")
-    value = obj[key]
     # bool subclasses int, but true/false is never a valid time, id or duration
     if not isinstance(value, types) or (types is int and isinstance(value, bool)):
         raise TraceFormatError(f"line {lineno}: key {key!r} has wrong type {type(value).__name__}")
@@ -111,14 +121,19 @@ def parse_events(source: bytes | str) -> Iterator[TraceEvent]:
         source = source.decode("utf-8")
     last_time = None
     task_ids: set[int] = set()
-    for lineno, raw in enumerate(source.splitlines(), start=1):
+    for lineno, raw in enumerate(source.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from None
+            obj, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):  # refused or ended early: json.loads raises its message
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: event must be an object")
         time = _require(obj, "t", int, lineno)
@@ -210,6 +225,9 @@ class SyntheticTraceConfig:
 
 _GENERIC_OPS = (Op.EQ, Op.NE, Op.LE, Op.GE, Op.IN)
 _GENERIC_OP_WEIGHTS = (0.35, 0.10, 0.20, 0.20, 0.15)
+# the cdf `Generator.choice(p=weights)` builds: bisecting it at one
+# `rng.random()` draws the index that choice draws, from the same stream
+_GENERIC_OP_CDF = (np.cumsum(_GENERIC_OP_WEIGHTS) / np.cumsum(_GENERIC_OP_WEIGHTS)[-1]).tolist()
 
 
 def _generic_constraints(rng: np.random.Generator, cfg: SyntheticTraceConfig) -> tuple[Constraint, ...]:
@@ -228,7 +246,7 @@ def _generic_constraints(rng: np.random.Generator, cfg: SyntheticTraceConfig) ->
             Constraint(attribute, Op.GE, (str(lo),)),
             Constraint(attribute, Op.LE, (str(hi),)),
         )
-    op = _GENERIC_OPS[rng.choice(len(_GENERIC_OPS), p=_GENERIC_OP_WEIGHTS)]
+    op = _GENERIC_OPS[bisect_right(_GENERIC_OP_CDF, rng.random())]
     if op is Op.IN:
         k = min(int(rng.integers(2, 4)), v)
         values = rng.choice(v, size=k, replace=False)

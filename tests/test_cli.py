@@ -164,6 +164,21 @@ class TestSchedSim:
         assert code == EXIT_OK
         assert qt.read_text().startswith("tick,high_priority,main,running\n")
 
+    def test_line_separator_inside_a_value_runs(self, tmp_path):
+        # U+2028 is legal unescaped inside a JSON string and must not end the line
+        trace_path = tmp_path / "trace.jsonl"
+        trace_path.write_text(
+            '{"t":0,"kind":"machine","node":1,"attr":"zone","val":"eu\u2028west"}\n'
+            '{"t":0,"kind":"machine","node":2,"attr":"zone","val":"us"}\n'
+            '{"t":5,"kind":"task","id":1,"dur":10,'
+            '"cons":[{"attr":"zone","op":"EQ","operands":["eu\u2028west"]}]}\n',
+            encoding="utf-8")
+        out = tmp_path / "latency.json"
+        code = main(["sched-sim", "--trace", str(trace_path), "--policy", "fifo", "--out", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["placed"] == doc["submitted"] == 1
+
     def test_co_analyzer_requires_a_classifier(self, tmp_path, config_file):
         trace_path = tmp_path / "trace.jsonl"
         main(["gen-trace", "--config", str(config_file), "--out", str(trace_path)])

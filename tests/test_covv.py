@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covvsched import covv
 from covvsched.covv import (
     UNSET,
     Constraint,
@@ -16,11 +18,11 @@ from covvsched.covv import (
     _judge,
     compare_values,
     constraint_from_json,
-    constraint_to_json,
     encode_constraint,
     encode_task,
     value_satisfies,
 )
+from covvsched.trace import TaskEvent, parse_events, serialize_events
 
 
 def am_registry(values=range(10)):
@@ -419,6 +421,26 @@ class TestEncodingCache:
         assert encode_task(task, reg).tolist() == [1, 1, 0, 1, 1]
         assert before.tolist() == [1, 1, 0, 1]
 
+    def test_copy_reuses_verdicts_judged_before_it(self, monkeypatch):
+        reg = am_registry(range(3))
+        eq = Constraint("AM", Op.EQ, ("1",))
+        before = encode_task(TaskConstraintSet(0, (eq,)), reg)
+        judged = []
+
+        def counting_judge(constraint, values, forms):
+            judged.append((constraint, list(values)))
+            return _judge(constraint, values, forms)
+
+        monkeypatch.setattr(covv, "_judge", counting_judge)
+        snap = reg.copy()
+        assert encode_task(TaskConstraintSet(1, (eq,)), snap, register=False) is before
+        assert snap._verdict(eq) is reg._verdict(eq)
+        assert judged == []
+        snap.register("AM", "7")  # only the copy's new column is judged
+        assert encode_task(TaskConstraintSet(1, (eq,)), snap).tolist() == [1, 1, 0, 1, 1]
+        assert judged == [(eq, ["7"])]
+        assert len(reg._verdict(eq)) == 4
+
     def test_same_attribute_different_constraints_cached_apart(self):
         reg = am_registry(range(3))
         eq = encode_task(TaskConstraintSet(0, (Constraint("AM", Op.EQ, ("1",)),)), reg)
@@ -427,14 +449,23 @@ class TestEncodingCache:
         assert ne.tolist() == [0, 0, 1, 0]
 
 
+def _every_op_event():
+    constraints = tuple(
+        Constraint("AM", op, () if op in (Op.PRESENT, Op.ABSENT)
+                   else ("1", "2") if op in (Op.IN, Op.NOT_IN) else ("1",))
+        for op in Op)
+    return TaskEvent(0, TaskConstraintSet(0, constraints), 5)
+
+
 class TestJsonCodec:
     def test_round_trip(self):
-        c = Constraint("AM", Op.NOT_IN, ("1", "2"))
-        assert constraint_from_json(constraint_to_json(c)) == c
+        event = _every_op_event()
+        assert list(parse_events(serialize_events([event]))) == [event]
 
     def test_wire_names(self):
-        assert constraint_to_json(Constraint("x", Op.GE, ("1",)))["op"] == "GE"
-        assert constraint_to_json(Constraint("x", Op.NOT_IN, ("1",)))["op"] == "NOT_IN"
+        line = serialize_events([_every_op_event()]).decode()
+        assert [c["op"] for c in json.loads(line)["cons"]] == [op.value for op in Op]
+        assert '"op":"GE"' in line and '"op":"NOT_IN"' in line
 
     def test_unknown_operator_named_in_error(self):
         with pytest.raises(ValueError, match="EQUALS"):

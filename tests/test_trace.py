@@ -1,9 +1,10 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import json_values
 
@@ -55,32 +56,64 @@ class TestParseEvents:
             list(parse_events(text))
 
     def test_malformed_json_names_line(self):
-        with pytest.raises(TraceFormatError, match="line 2"):
+        with pytest.raises(TraceFormatError) as err:
             list(parse_events('{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n{oops\n'))
+        assert str(err.value) == ("line 2: invalid JSON: Expecting property name enclosed in "
+                                  "double quotes: line 1 column 2 (char 1)")
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"t":0,"kind":"task","id":2,"dur":5,"cons":[]} x',
+         "invalid JSON: Extra data: line 1 column 48 (char 47)"),
+        ('{"t":0,"kind":"task","id":2,"dur":5,"cons":[]}{}',
+         "invalid JSON: Extra data: line 1 column 47 (char 46)"),
+        ("nul", "invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"t":0,"kind":"task","id":2,"dur":5,"cons":["x}', "invalid JSON: Unterminated string "
+         "starting at: line 1 column 45 (char 44)"),
+        ("[1,2]", "event must be an object"),
+        ('"x"', "event must be an object"),
+        ('{"kind":"task"}', "missing key 't'"),
+        ('{"t":0,"kind":"task","dur":5,"cons":[]}', "missing key 'id'"),
+        ('{"t":1.5,"kind":"task","id":2,"dur":5,"cons":[]}', "key 't' has wrong type float"),
+        ('{"t":0,"kind":5}', "key 'kind' has wrong type int"),
+        ('{"t":0,"kind":"task","id":2,"dur":5,"cons":{}}', "key 'cons' has wrong type dict"),
+        ('{"t":0,"kind":"machine","node":1,"attr":"a","val":5}', "key 'val' must be a string or null"),
+        ('{"t":-1,"kind":"task","id":2,"dur":5,"cons":[]}', "time must be a non-negative integer"),
+    ])
+    def test_malformed_line_message(self, line, message):
+        text = '{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n' + line + "\n"
+        with pytest.raises(TraceFormatError) as err:
+            list(parse_events(text))
+        assert str(err.value) == "line 2: " + message
 
     def test_time_regression_rejected(self):
         text = (
             '{"t":5,"kind":"task","id":1,"dur":5,"cons":[]}\n'
             '{"t":4,"kind":"task","id":2,"dur":5,"cons":[]}\n'
         )
-        with pytest.raises(TraceFormatError, match="line 2"):
+        with pytest.raises(TraceFormatError) as err:
             list(parse_events(text))
+        assert str(err.value) == "line 2: time regression 4 < 5"
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(TraceFormatError, match="line 1.*pod"):
+        with pytest.raises(TraceFormatError) as err:
             list(parse_events('{"t":0,"kind":"pod"}\n'))
+        assert str(err.value) == "line 1: unknown event kind 'pod'"
 
-    @pytest.mark.parametrize("line", [
-        '{"t":0,"kind":"machine","node":true,"attr":"AM","val":"5"}',
-        '{"t":0,"kind":"task","id":false,"dur":5,"cons":[]}',
-        '{"t":0,"kind":"task","id":1,"dur":true,"cons":[]}',
-        '{"t":0,"kind":"task","id":1,"dur":-5,"cons":[]}',
-        '{"t":true,"kind":"task","id":1,"dur":5,"cons":[]}',
-    ])
+    _BOOL_OR_NEGATIVE = {
+        '{"t":0,"kind":"machine","node":true,"attr":"AM","val":"5"}': "key 'node' has wrong type bool",
+        '{"t":0,"kind":"task","id":false,"dur":5,"cons":[]}': "key 'id' has wrong type bool",
+        '{"t":0,"kind":"task","id":1,"dur":true,"cons":[]}': "key 'dur' has wrong type bool",
+        '{"t":0,"kind":"task","id":1,"dur":-5,"cons":[]}': "duration must be a non-negative integer",
+        '{"t":true,"kind":"task","id":1,"dur":5,"cons":[]}': "key 't' has wrong type bool",
+    }
+
+    @pytest.mark.parametrize("line", list(_BOOL_OR_NEGATIVE))
     def test_bool_or_negative_integer_fields_name_line(self, line):
-        text = '{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n' + line + "\n"
-        with pytest.raises(TraceFormatError, match="line 2"):
+        # id 0 on the first line, so a line with id 1 fails on its own field
+        text = '{"t":0,"kind":"task","id":0,"dur":5,"cons":[]}\n' + line + "\n"
+        with pytest.raises(TraceFormatError) as err:
             list(parse_events(text))
+        assert str(err.value) == "line 2: " + self._BOOL_OR_NEGATIVE[line]
 
     def test_duplicate_task_id_names_line(self):
         text = (
@@ -123,6 +156,98 @@ class TestParseEvents:
         data = generate_trace(cfg)
         events = list(parse_events(data))
         assert serialize_events(events) == data
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_line_separator_inside_a_string_is_data(self, separator):
+        # str.splitlines ends a line at each of these, but JSON allows them
+        # unescaped inside a string; only "\n" ends a trace line
+        raw = '{"t":0,"kind":"machine","node":1,"attr":"zone","val":"eu%swest"}\n' % separator
+        escaped = '{"t":0,"kind":"machine","node":1,"attr":"zone","val":"eu\\u%04xwest"}\n' % ord(separator)
+        (event,) = parse_events(raw)
+        assert event.value == "eu" + separator + "west"
+        assert list(parse_events(escaped)) == [event]
+        assert list(parse_events(raw.encode("utf-8"))) == [event]
+
+    def test_crlf_lines_parse(self):
+        text = ('{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\r\n'
+                '{"t":1,"kind":"task","id":2,"dur":5,"cons":[]}\r\n')
+        assert [e.task.task_id for e in parse_events(text)] == [1, 2]
+
+
+# every character class the writer must escape: quotes, backslashes, control
+# characters, non-ASCII text, astral characters and lone surrogates
+_TRICKY = st.sampled_from(['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\r", "\x85", "\u2028",
+                           "\xe9", "\u6f22", "\U0001f600", "\ud800", "\udfff", " "])
+_TEXT = st.text(st.one_of(st.characters(), _TRICKY), max_size=8)
+_TOKEN = st.text(st.one_of(st.characters(), _TRICKY), min_size=1, max_size=8).filter(
+    lambda s: s.split() == [s])
+_INTS = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def _constraints(draw):
+    op = draw(st.sampled_from(list(Op)))
+    if op in (Op.PRESENT, Op.ABSENT):
+        operands = ()
+    elif op in (Op.IN, Op.NOT_IN):
+        operands = tuple(draw(st.lists(_TEXT, min_size=1, max_size=3)))
+    else:
+        operands = (draw(_TEXT),)
+    return Constraint(draw(_TOKEN), op, operands)
+
+
+@st.composite
+def _any_events(draw, ints=_INTS):
+    """Machine and task events over arbitrary text, valid or not as a trace."""
+    events = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            events.append(MachineEvent(draw(ints), draw(ints), draw(_TEXT),
+                                       draw(st.one_of(st.none(), _TEXT))))
+        else:
+            constraints = tuple(draw(st.lists(_constraints(), max_size=3)))
+            events.append(TaskEvent(draw(ints), TaskConstraintSet(draw(ints), constraints), draw(ints)))
+    return events
+
+
+def _reference_bytes(events) -> bytes:
+    """The trace as `json.dumps` writes it: compact, keys in this order, ASCII."""
+    docs = []
+    for e in events:
+        if isinstance(e, MachineEvent):
+            docs.append({"t": e.time, "kind": "machine", "node": e.node,
+                         "attr": e.attribute, "val": e.value})
+        else:
+            docs.append({"t": e.time, "kind": "task", "id": e.task.task_id, "dur": e.duration,
+                         "cons": [{"attr": c.attribute, "op": c.op.value, "operands": list(c.operands)}
+                                  for c in e.task.constraints]})
+    return "".join(json.dumps(d, separators=(",", ":")) + "\n" for d in docs).encode()
+
+
+_EVERY_OP = tuple(Constraint("a", op, () if op in (Op.PRESENT, Op.ABSENT) else ("1",)) for op in Op)
+
+
+class TestSerializeEvents:
+    @settings(max_examples=300, deadline=None)
+    @given(events=_any_events())
+    @example(events=[TaskEvent(0, TaskConstraintSet(0, _EVERY_OP), 3),
+                     TaskEvent(0, TaskConstraintSet(1, ()), 0), MachineEvent(1, 2, "a", None)])
+    def test_bytes_equal_json_dumps(self, events):
+        assert serialize_events(events) == _reference_bytes(events)
+
+    @settings(max_examples=150, deadline=None)
+    @given(events=_any_events(ints=st.integers(0, 2**40)))
+    @example(events=[MachineEvent(0, 0, "\ud800\udfff", None)])
+    def test_parse_inverts_serialize(self, events):
+        # times non-decreasing and task ids unique, so the bytes are a valid trace
+        events = [MachineEvent(i, e.node, e.attribute, e.value) if isinstance(e, MachineEvent)
+                  else TaskEvent(i, TaskConstraintSet(i, e.task.constraints), e.duration)
+                  for i, e in enumerate(events)]
+        data = serialize_events(events)
+        assert data.isascii()
+        # bytes, not events: JSON reads the escapes of a lone high and a lone
+        # low surrogate written in a row as one astral character
+        assert serialize_events(parse_events(data)) == data
 
 
 _VALID_CONSTRAINTS = (("EQ", ["1"]), ("IN", ["1", "2"]), ("PRESENT", []))
@@ -187,6 +312,41 @@ def _small_trace_configs(draw):
         restrictive_rate=draw(st.floats(0.0, 9_999.0 * constrained)),
         growth_schedule=tuple(growth), duration_mean_us=draw(st.integers(1, 5_000)),
         span_us=draw(st.integers(1, 3_000)), seed=draw(st.integers(0, 2**32 - 1)))
+
+
+_DESK_CELL = dict(node_count=200, attribute_count=8, values_per_attribute=10,
+                  duration_mean_us=2_000_000)
+
+#: The benchmark's two workload traces at their first instance seeds, and the
+#: acceptance desk run's trace at seed 11.
+_GOLDEN_CONFIGS = {
+    "desk-simulate": SyntheticTraceConfig(
+        **_DESK_CELL, task_count=800, constrained_fraction=0.4, restrictive_rate=200,
+        span_us=800_000, growth_schedule=tuple((133_333 * (i + 1), 3) for i in range(5)),
+        seed=11_000),
+    "sched-backlog": SyntheticTraceConfig(
+        **dict(_DESK_CELL, node_count=40), task_count=600, constrained_fraction=0.4,
+        restrictive_rate=200, span_us=600_000, growth_schedule=((200_000, 3), (400_000, 3)),
+        seed=31_000),
+    "acceptance-desk": SyntheticTraceConfig(
+        **_DESK_CELL, task_count=42_000, constrained_fraction=0.4, restrictive_rate=15,
+        span_us=44_000_000, growth_schedule=tuple((2_000_000 * (i + 1), 3) for i in range(20)),
+        seed=11),
+}
+
+
+class TestGoldenTrace:
+    # recorded from the writer that built a dict per event and ran json.dumps
+    # on it, and from the operator draw through Generator.choice(p=...)
+    DIGESTS = {
+        "desk-simulate": "95e870a5f83531fc5b69ef8cc8fa37793cfd58210c529a412c7ad644917629c3",
+        "sched-backlog": "8a0aaa0244b952c9349d14ff7eaee27b18946289519cb59a915d826b0f1d240a",
+        "acceptance-desk": "86dd6c6419d2d1aa60e1547340a64f2c7492eea8d9d9fe3f21e5422c479e02c0",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_trace_bytes_unchanged(self, name):
+        assert hashlib.sha256(generate_trace(_GOLDEN_CONFIGS[name])).hexdigest() == self.DIGESTS[name]
 
 
 class TestGenerateTrace:
