@@ -16,33 +16,12 @@ import sys
 
 import numpy as np
 
-from .evalkit import SplitConfig, evaluate, stratified_split
-from .growing import (
-    MODE_FAILED,
-    TrainConfig,
-    load_state,
-    save_state,
-    train_full,
-    train_growing,
-)
-from .oracle import GroupingConfig, NodeInventory
-from .pipeline import check_sections, dataclass_from_dict, load_run_config, run_simulation
-from .schedsim import (
-    POLICY_CO_ANALYZER,
-    ModelClassifier,
-    OracleClassifier,
-    SchedulerConfig,
-    simulate,
-)
-from .trace import (
-    ConfigError,
-    SyntheticTraceConfig,
-    generate_trace,
-    load_snapshot,
-    read_trace,
-)
-
-log = logging.getLogger(__name__)
+from .evalkit import evaluate, stratified_split
+from .growing import MODE_FAILED, load_state, save_state, train_full, train_growing
+from .oracle import NodeInventory
+from .pipeline import load_run_config, load_section, read_config, run_simulation
+from .schedsim import POLICY_CO_ANALYZER, ModelClassifier, OracleClassifier, simulate
+from .trace import ConfigError, generate_trace, load_snapshot, read_trace
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,33 +36,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    check_sections(doc)
-    return doc
-
-
-def _section(doc: dict, name: str) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    return dict(section)
-
-
 def _cmd_gen_trace(args) -> int:
-    doc = _load_config(args.config)
-    section = _section(doc, "trace")
-    if args.seed is not None:
-        section["seed"] = args.seed
-    if args.tasks is not None:
-        section["task_count"] = args.tasks
-    cfg = dataclass_from_dict(SyntheticTraceConfig, section, "trace")
+    cfg = load_section(read_config(args.config), "trace", seed=args.seed, task_count=args.tasks)
     data = generate_trace(cfg)
     with open(args.out, "wb") as f:
         f.write(data)
@@ -92,7 +46,7 @@ def _cmd_gen_trace(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    doc = _load_config(args.config)
+    doc = read_config(args.config)
     overrides = {
         "out_dir": args.out_dir,
         "seed": args.seed,
@@ -115,12 +69,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    doc = _load_config(args.config)
-    section = _section(doc, "train")
-    if args.seed is not None:
-        section["seed"] = args.seed
-    train_cfg = dataclass_from_dict(TrainConfig, section, "train")
-    split_cfg = dataclass_from_dict(SplitConfig, doc.get("split", {}), "split")
+    doc = read_config(args.config)
+    train_cfg = load_section(doc, "train", seed=args.seed)
+    split_cfg = load_section(doc, "split")
     snapshot = load_snapshot(args.data)
     split = stratified_split(snapshot, split_cfg)
     if args.model:
@@ -154,7 +105,7 @@ def _metrics_to_json(metrics) -> dict:
 
 
 def _cmd_evaluate(args) -> int:
-    _load_config(args.config)  # checked like every subcommand's; nothing consumed yet
+    read_config(args.config)  # checked like every subcommand's; nothing consumed yet
     model = load_state(args.model)
     snapshot = load_snapshot(args.data)
     if snapshot.features_count != model.features_count:
@@ -172,11 +123,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sched_sim(args) -> int:
-    doc = _load_config(args.config)
-    sched_section = _section(doc, "sched")
-    sched_section["policy"] = args.policy
-    sched_cfg = dataclass_from_dict(SchedulerConfig, sched_section, "sched")
-    grouping = dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
+    doc = read_config(args.config)
+    sched_cfg = load_section(doc, "sched", policy=args.policy)
+    grouping = load_section(doc, "grouping")
     events = read_trace(args.trace)
 
     classifier = None
@@ -204,7 +153,7 @@ def _cmd_sched_sim(args) -> int:
 
 
 def _cmd_inspect_model(args) -> int:
-    _load_config(args.config)  # checked like every subcommand's; nothing consumed yet
+    read_config(args.config)  # checked like every subcommand's; nothing consumed yet
     model = load_state(args.model)
     print(f"features_count: {model.features_count}")
     print(f"hidden: {model.layer1.weights.shape[0]}")
@@ -280,7 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except (ValueError, OSError) as exc:
         # TraceFormatError, ModelFormatError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

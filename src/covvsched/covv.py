@@ -374,21 +374,3 @@ def encode_task(task: TaskConstraintSet, registry: FeatureRegistry, *, register:
         for constraint in task.constraints:
             _register_constraint(registry, constraint)
     return registry._encoding(task.constraints)
-
-
-def constraint_from_json(obj: dict) -> Constraint:
-    if not isinstance(obj, dict):
-        raise ValueError(f"constraint must be an object, got {type(obj).__name__}")
-    try:
-        attr = obj["attr"]
-        op_name = obj["op"]
-        operands = obj.get("operands", [])
-    except KeyError as exc:
-        raise ValueError(f"constraint object missing key {exc}") from None
-    try:
-        op = Op(op_name)
-    except ValueError:
-        raise ValueError(f"unknown constraint operator {op_name!r}") from None
-    if not isinstance(operands, list):
-        raise ValueError("constraint operands must be a list")
-    return Constraint(attribute=attr, op=op, operands=tuple(operands))

@@ -125,7 +125,7 @@ def load_state(path) -> TwoLayerClassifier:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: not a model state file: {exc}") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError(f"{path}: missing format_version")

@@ -24,7 +24,6 @@ index is checked against.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
@@ -38,8 +37,6 @@ from .covv import (
     TaskConstraintSet,
     value_satisfies,
 )
-
-log = logging.getLogger(__name__)
 
 #: Label for tasks with zero suitable nodes. Excluded from training data.
 UNSCHEDULABLE = -1

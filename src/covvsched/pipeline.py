@@ -26,6 +26,7 @@ from .evalkit import SplitConfig, StepReport, stratified_split, write_report
 from .growing import MODE_FAILED, TrainConfig, train_full, train_growing
 from .neural import TwoLayerClassifier
 from .oracle import GroupingConfig, NodeInventory, apply_machine_event
+from .schedsim import SchedulerConfig
 from .trace import (
     ConfigError,
     MachineEvent,
@@ -66,6 +67,8 @@ class RunConfig:
         for arm in self.arms:
             if arm not in ARMS:
                 raise ConfigError(f"unknown arm {arm!r}, expected one of {ARMS}")
+        if len(set(self.arms)) != len(self.arms):
+            raise ConfigError(f"arms repeat: {', '.join(self.arms)}")
         if not self.arms:
             raise ConfigError("at least one arm is required")
         if self.trace is None and self.trace_path is None:
@@ -108,16 +111,42 @@ def dataclass_from_dict(cls, data: dict, where: str):
         raise ConfigError(f"bad {where} config: {exc}") from None
 
 
-CONFIG_SECTIONS = frozenset({"trace", "grouping", "train", "split", "sched", "run"})
+#: Every section a config file may hold, and the dataclass it builds.
+CONFIG_SECTIONS = {"trace": SyntheticTraceConfig, "grouping": GroupingConfig,
+                   "train": TrainConfig, "split": SplitConfig, "sched": SchedulerConfig,
+                   "run": RunConfig}
 
 
 def check_sections(doc) -> None:
     """ConfigError unless a parsed config file is an object of known sections."""
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - CONFIG_SECTIONS)
+    unknown = sorted(set(doc) - CONFIG_SECTIONS.keys())
     if unknown:
         raise ConfigError(f"unknown config section(s): {', '.join(unknown)}")
+
+
+def read_config(path) -> dict:
+    """The config file at path, parsed and its sections checked; {} for None."""
+    if path is None:
+        return {}
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    check_sections(doc)
+    return doc
+
+
+def load_section(doc: dict, name: str, **overrides):
+    """The dataclass of one config section; each override that is not None
+    replaces the file's value."""
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"section {name!r} must be an object")
+    section = {**section, **{k: v for k, v in overrides.items() if v is not None}}
+    return dataclass_from_dict(CONFIG_SECTIONS[name], section, name)
 
 
 def load_run_config(doc: dict, **overrides) -> RunConfig:
@@ -126,20 +155,14 @@ def load_run_config(doc: dict, **overrides) -> RunConfig:
     run = doc.get("run", {})
     if not isinstance(run, dict):
         raise ConfigError("section 'run' must be an object")
-    nested = sorted(set(run) & CONFIG_SECTIONS)
+    nested = sorted(set(run) & CONFIG_SECTIONS.keys())
     if nested:
         raise ConfigError(f"section(s) nested inside run: {', '.join(nested)}; "
                           "give them at the top level")
-    kwargs = dict(run)
-    if "trace" in doc:
-        kwargs["trace"] = dataclass_from_dict(SyntheticTraceConfig, doc["trace"], "trace")
-    kwargs["grouping"] = dataclass_from_dict(GroupingConfig, doc.get("grouping", {}), "grouping")
-    kwargs["train"] = dataclass_from_dict(TrainConfig, doc.get("train", {}), "train")
-    kwargs["split"] = dataclass_from_dict(SplitConfig, doc.get("split", {}), "split")
-    for key, value in overrides.items():
-        if value is not None:
-            kwargs[key] = value
-    return dataclass_from_dict(RunConfig, kwargs, "run")
+    trace = load_section(doc, "trace") if "trace" in doc else None
+    return load_section(doc, "run", trace=trace, grouping=load_section(doc, "grouping"),
+                        train=load_section(doc, "train"), split=load_section(doc, "split"),
+                        **overrides)
 
 
 def config_digest(cfg: RunConfig) -> str:

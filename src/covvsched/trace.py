@@ -34,7 +34,6 @@ from .covv import (
     Op,
     TaskConstraintSet,
     _canonical,
-    constraint_from_json,
     encode_task,
 )
 from .oracle import GROUP_COUNT, UNSCHEDULABLE, GroupingConfig, NodeInventory, count_suitable, group_label
@@ -82,6 +81,24 @@ TraceEvent = Union[MachineEvent, TaskEvent]
 def _constraint_json(c: Constraint) -> str:
     operands = ",".join(map(_quote, c.operands))
     return f'{{"attr":{_quote(c.attribute)},"op":"{c.op.value}","operands":[{operands}]}}'
+
+
+def _constraint_from_json(obj: dict) -> Constraint:
+    if not isinstance(obj, dict):
+        raise ValueError(f"constraint must be an object, got {type(obj).__name__}")
+    try:
+        attr = obj["attr"]
+        op_name = obj["op"]
+        operands = obj.get("operands", [])
+    except KeyError as exc:
+        raise ValueError(f"constraint object missing key {exc}") from None
+    try:
+        op = Op(op_name)
+    except ValueError:
+        raise ValueError(f"unknown constraint operator {op_name!r}") from None
+    if not isinstance(operands, list):
+        raise ValueError("constraint operands must be a list")
+    return Constraint(attribute=attr, op=op, operands=tuple(operands))
 
 
 def serialize_events(events: Iterable[TraceEvent]) -> bytes:
@@ -132,7 +149,7 @@ def parse_events(source: bytes | str) -> Iterator[TraceEvent]:
         if end != len(line):  # refused or ended early: json.loads raises its message
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise TraceFormatError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(obj, dict):
             raise TraceFormatError(f"line {lineno}: event must be an object")
@@ -166,7 +183,7 @@ def parse_events(source: bytes | str) -> Iterator[TraceEvent]:
                 raise TraceFormatError(f"line {lineno}: duration must be a non-negative integer")
             cons_raw = _require(obj, "cons", list, lineno)
             try:
-                constraints = tuple(constraint_from_json(c) for c in cons_raw)
+                constraints = tuple(_constraint_from_json(c) for c in cons_raw)
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from None
             yield TaskEvent(time=time, task=TaskConstraintSet(task_id, constraints), duration=duration)
@@ -201,7 +218,13 @@ class SyntheticTraceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.growth_schedule = tuple((int(t), int(k)) for t, k in self.growth_schedule)
+        self.growth_schedule = tuple(self.growth_schedule)
+        for entry in self.growth_schedule:
+            # JSON integers only: a float, bool or string is never rounded or parsed
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                    and all(type(v) is int for v in entry)):
+                raise ConfigError(f"growth_schedule entry must be a pair of integers, got {entry!r}")
+        self.growth_schedule = tuple(map(tuple, self.growth_schedule))
         for name in ("node_count", "attribute_count", "values_per_attribute", "task_count",
                      "duration_mean_us", "span_us"):
             if getattr(self, name) < 1:

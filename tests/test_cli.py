@@ -392,6 +392,48 @@ class TestExitCodes:
         }[command]
         assert main([command, "--config", str(cfg), *args]) == EXIT_DATA
 
+    @pytest.mark.parametrize("command", ["gen-trace", "simulate", "sched-sim", "inspect-model"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, config_file, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        out = str(tmp_path / "o")
+        args = {
+            "gen-trace": ["--config", str(deep), "--out", out],
+            "simulate": ["--config", str(config_file), "--trace", str(deep), "--out-dir", out],
+            "sched-sim": ["--trace", str(deep), "--policy", "fifo", "--out", out],
+            "inspect-model": ["--model", str(deep)],
+        }[command]
+        assert main([command, *args]) == EXIT_DATA
+        assert "recursion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,target,message", [
+        ("simulate", "file", "File exists"),
+        ("simulate", "file/sub", "Not a directory"),
+        ("gen-trace", "file/t.jsonl", "Not a directory"),
+    ], ids=["out-dir-is-a-file", "out-dir-under-a-file", "out-under-a-file"])
+    def test_output_path_through_a_file_exits_2(self, tmp_path, config_file, capsys,
+                                                command, target, message):
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / target)
+        flag = "--out-dir" if command == "simulate" else "--out"
+        assert main([command, "--config", str(config_file), flag, out]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
+    def test_duplicate_arm_exits_2(self, tmp_path, config_file, capsys):
+        code = main(["simulate", "--config", str(config_file), "--out-dir", str(tmp_path / "o"),
+                     "--arms", "growing,growing"])
+        assert code == EXIT_DATA
+        assert "arms repeat: growing, growing" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_growth_entry_not_an_integer_pair_exits_2(self, tmp_path, config_file):
+        doc = json.loads(config_file.read_text())
+        doc["trace"]["growth_schedule"] = [[2_500_000.7, 3]]
+        config_file.write_text(json.dumps(doc))
+        code = main(["gen-trace", "--config", str(config_file), "--out", str(tmp_path / "t")])
+        assert code == EXIT_DATA
+        assert not (tmp_path / "t").exists()
+
     def test_malformed_extension_history_exits_2(self, tmp_path, snapshot_file):
         prior = tmp_path / "prior.json"
         save_state(init_model(load_snapshot(snapshot_file).features_count, seed=1), prior)

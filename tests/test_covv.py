@@ -17,7 +17,6 @@ from covvsched.covv import (
     _canonical,
     _judge,
     compare_values,
-    constraint_from_json,
     encode_constraint,
     encode_task,
     value_satisfies,
@@ -468,5 +467,6 @@ class TestJsonCodec:
         assert '"op":"GE"' in line and '"op":"NOT_IN"' in line
 
     def test_unknown_operator_named_in_error(self):
+        line = serialize_events([_every_op_event()]).decode()
         with pytest.raises(ValueError, match="EQUALS"):
-            constraint_from_json({"attr": "x", "op": "EQUALS", "operands": ["1"]})
+            list(parse_events(line.replace('"op":"EQ"', '"op":"EQUALS"', 1)))

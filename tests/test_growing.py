@@ -138,6 +138,12 @@ class TestSaveLoad:
         with pytest.raises(ModelFormatError):
             load_state(path)
 
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ModelFormatError, match="not a model state file"):
+            load_state(path)
+
     def test_extension_history_survives_round_trip(self, tmp_path):
         model = init_model(4, seed=1)
         path = tmp_path / "model.json"

@@ -11,7 +11,7 @@ from helpers import json_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covvsched import covv
+from covvsched import covv, pipeline
 from covvsched.covv import Constraint, Op, TaskConstraintSet
 from covvsched.evalkit import SplitConfig
 from covvsched.growing import TrainConfig
@@ -148,6 +148,10 @@ class TestRunConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(trace=small_trace(), arms=("growing", "frozen"))
 
+    def test_duplicate_arm_rejected(self):
+        with pytest.raises(ConfigError, match="arms repeat"):
+            RunConfig(trace=small_trace(), arms=("growing", "growing"))
+
     def test_load_from_document(self):
         doc = {
             "trace": {"node_count": 10, "task_count": 50},
@@ -208,6 +212,31 @@ class TestRunConfigValidation:
     def test_non_finite_or_non_positive_train_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
             load_run_config({"run": {"trace_path": "t.jsonl"}, "train": {key: value}})
+
+
+class TestConfigSections:
+    def test_none_override_keeps_the_file_value(self):
+        doc = {"trace": {"seed": 4, "task_count": 70}}
+        cfg = pipeline.load_section(doc, "trace", seed=None, task_count=90)
+        assert (cfg.seed, cfg.task_count) == (4, 90)
+        assert pipeline.load_section({}, "trace", seed=None) == SyntheticTraceConfig()
+
+    def test_override_replaces_the_file_value(self):
+        cfg = pipeline.load_section({"sched": {"policy": "fifo"}}, "sched", policy="co-analyzer")
+        assert cfg == SchedulerConfig(policy="co-analyzer")
+
+    def test_section_not_an_object_rejected_before_overrides(self):
+        with pytest.raises(ConfigError, match="section 'train' must be an object"):
+            pipeline.load_section({"train": [1]}, "train", seed=1)
+
+    def test_section_table_is_the_fuzzed_one(self):
+        assert pipeline.CONFIG_SECTIONS == _CONFIG_SECTIONS
+
+    def test_deeply_nested_config_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: invalid JSON: "):
+            pipeline.read_config(path)
 
 
 _CONFIG_SECTIONS = {"trace": SyntheticTraceConfig, "grouping": GroupingConfig,

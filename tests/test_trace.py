@@ -85,6 +85,12 @@ class TestParseEvents:
             list(parse_events(text))
         assert str(err.value) == "line 2: " + message
 
+    def test_deeply_nested_json_names_line(self):
+        text = ('{"t":0,"kind":"task","id":1,"dur":5,"cons":[]}\n'
+                + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(TraceFormatError, match="^line 2: invalid JSON: "):
+            list(parse_events(text))
+
     def test_time_regression_rejected(self):
         text = (
             '{"t":5,"kind":"task","id":1,"dur":5,"cons":[]}\n'
@@ -420,6 +426,13 @@ class TestGenerateTrace:
     def test_growth_step_larger_than_value_pool_rejected(self):
         with pytest.raises(ConfigError, match="values_per_attribute"):
             SyntheticTraceConfig(values_per_attribute=4, growth_schedule=((100, 5),))
+
+    @pytest.mark.parametrize("entry", [
+        (2_500_000.7, 3), (1, 2.9), (True, 1), ("5", "2"), (1, 2, 3), 7,
+    ], ids=["float-time", "float-count", "bool", "str", "triple", "not-a-pair"])
+    def test_growth_entry_not_an_integer_pair_rejected(self, entry):
+        with pytest.raises(ConfigError, match="growth_schedule"):
+            SyntheticTraceConfig(growth_schedule=(entry,))
 
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ConfigError):
