@@ -194,6 +194,9 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         events = read_trace(cfg.trace_path)
     else:
         events = generate_events(cfg.trace)
+    # before the replay, so an unusable out_dir fails the run at once; after
+    # reading, so a malformed trace leaves nothing behind
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
     inventory = NodeInventory()
     registry = inventory.registry  # encodes and labels: one verdict cache
@@ -286,7 +289,6 @@ def run_simulation(cfg: RunConfig) -> RunResult:
         "report_paths": [REPORT_CSV, REPORT_JSON],
         "summary": summary,
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
     write_report(reports, os.path.join(cfg.out_dir, REPORT_CSV), fmt="csv")
     write_report(reports, os.path.join(cfg.out_dir, REPORT_JSON), fmt="json")
     with open(os.path.join(cfg.out_dir, MANIFEST), "w", encoding="utf-8") as f:

@@ -12,8 +12,10 @@ from `suitable_nodes`, which the inventory caches per constraint signature
 until its next mutation; the nodes with a free slot are kept as a set, and
 a walk over a queue already found placeable at the current inventory
 version stops as soon as no slot is free anywhere, because none of its
-remaining tasks could move. Nodes already in the inventory passed in get
-their slots at the start, like nodes that join through a machine event.
+remaining tasks could move. Within one walk, a constraint signature that
+found no free suitable node is not scanned again. Nodes already in the
+inventory passed in get their slots at the start, like nodes that join
+through a machine event.
 """
 
 from __future__ import annotations
@@ -222,18 +224,25 @@ def simulate(events: Iterable[TraceEvent], inventory: NodeInventory,
         nonlocal running, unplaced
         placed = 0
         kept: list[_QueuedTask] = []
+        # signatures found with suitable nodes but none free: the inventory
+        # is fixed during a walk and free nodes only go, so they stay blocked
+        blocked: set = set()
         for pos, rec in enumerate(queue):
             # with no free slot, a queue checked at this version keeps every
             # remaining task; otherwise the walk must go on, since it also
             # drops tasks whose last suitable node lost an attribute
             if budget == 0 or (not free_nodes and queue.checked_version == inventory.version):
                 break
+            if rec.task.constraints in blocked:
+                kept.append(rec)
+                continue
             suitable = suitable_nodes(inventory, rec.task)
             if not suitable:
                 unplaced += 1
                 continue
             node = next((n for n in suitable if n in free_nodes), None)
             if node is None:
+                blocked.add(rec.task.constraints)
                 kept.append(rec)
                 continue
             slots_free[node] -= 1

@@ -24,6 +24,7 @@ import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -293,30 +294,39 @@ def generate_events(cfg: SyntheticTraceConfig) -> list[TraceEvent]:
     submissions then interleave with growth injections, which set a
     never-seen value on some node. Restrictive tasks pin themselves to one
     node via equality on its unique attribute value.
+
+    The bootstrap values (node-major, as the nodes are emitted) and the
+    growth hosts are each drawn in one vector call. A bounded `integers`
+    draw consumes the bit stream element by element in the same way
+    whether it is asked for one value or for `size=` values, so a vector
+    draw reads and leaves the stream exactly as the same run of scalar
+    draws would, and the trace bytes do not depend on the batching. The
+    per-task loop stays scalar: it interleaves `random`, bounded
+    `integers`, `exponential` and `choice` draws, and batching any of them
+    would reorder the stream.
     """
     rng = np.random.default_rng(cfg.seed)
+    attributes = [f"a{a}" for a in range(cfg.attribute_count)]
     events: list[TraceEvent] = []
 
-    for node in range(cfg.node_count):
+    values = rng.integers(0, cfg.values_per_attribute, size=(cfg.node_count, cfg.attribute_count))
+    for node, row in enumerate(values.tolist()):
         events.append(MachineEvent(0, node, UNIQUE_ATTRIBUTE, str(node)))
-        for a in range(cfg.attribute_count):
-            value = int(rng.integers(0, cfg.values_per_attribute))
-            events.append(MachineEvent(0, node, f"a{a}", str(value)))
+        events.extend(MachineEvent(0, node, attr, str(v)) for attr, v in zip(attributes, row))
 
+    # one injection per value, each on the next attribute in turn
+    growth_times = [t for t, k in cfg.growth_schedule for _ in range(k)]
+    hosts = rng.integers(0, cfg.node_count, size=len(growth_times)).tolist()
     next_value = [cfg.values_per_attribute] * cfg.attribute_count
-    attr_cursor = 0
-    for t, k in cfg.growth_schedule:
-        for _ in range(k):
-            a = attr_cursor % cfg.attribute_count
-            attr_cursor += 1
-            node = int(rng.integers(0, cfg.node_count))
-            events.append(MachineEvent(t, node, f"a{a}", str(next_value[a])))
-            next_value[a] += 1
+    for i, (t, node) in enumerate(zip(growth_times, hosts)):
+        a = i % cfg.attribute_count
+        events.append(MachineEvent(t, node, attributes[a], str(next_value[a])))
+        next_value[a] += 1
 
-    times = np.sort(rng.integers(1, cfg.span_us + 1, size=cfg.task_count))
+    times = np.sort(rng.integers(1, cfg.span_us + 1, size=cfg.task_count)).tolist()
     p_restrictive = cfg.restrictive_rate / 10_000.0
     p_generic = cfg.constrained_fraction - p_restrictive
-    for i in range(cfg.task_count):
+    for i, time in enumerate(times):
         draw = rng.random()
         if draw < p_restrictive:
             target = int(rng.integers(0, cfg.node_count))
@@ -326,11 +336,11 @@ def generate_events(cfg: SyntheticTraceConfig) -> list[TraceEvent]:
         else:
             constraints = ()
         duration = max(1, int(rng.exponential(cfg.duration_mean_us)))
-        events.append(TaskEvent(int(times[i]), TaskConstraintSet(i, constraints), duration))
+        events.append(TaskEvent(time, TaskConstraintSet(i, constraints), duration))
 
-    # stable sort: machine reconfiguration applies before same-time submissions
-    order = {MachineEvent: 0, TaskEvent: 1}
-    events.sort(key=lambda e: (e.time, order[type(e)]))
+    # stable sort, and every machine event precedes every task in the list:
+    # machine reconfiguration applies before same-time submissions
+    events.sort(key=attrgetter("time"))
     return events
 
 

@@ -34,6 +34,7 @@ from covvsched.trace import (
     MachineEvent,
     SyntheticTraceConfig,
     TaskEvent,
+    TraceFormatError,
     generate_events,
     serialize_events,
 )
@@ -123,6 +124,23 @@ class TestRunSimulation:
         run_simulation(small_run(tmp_path, trace=small_trace(tasks=400), arms=(ARM_GROWING,)))
         assert judged
         assert len(judged) == len(set(judged))
+
+    def test_out_dir_that_is_a_file_fails_before_training(self, tmp_path, monkeypatch):
+        def train(*args, **kwargs):
+            raise AssertionError("a step trained before the output directory was made")
+
+        monkeypatch.setattr(pipeline, "train_full", train)
+        monkeypatch.setattr(pipeline, "train_growing", train)
+        (tmp_path / "file").write_text("")
+        with pytest.raises(FileExistsError):
+            run_simulation(small_run(tmp_path, name="file"))
+
+    def test_trace_format_error_creates_no_directory(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        trace.write_bytes(serialize_events(generate_events(small_trace(tasks=20))) + b"{\n")
+        with pytest.raises(TraceFormatError):
+            run_simulation(small_run(tmp_path, trace=None, trace_path=str(trace)))
+        assert not (tmp_path / "out").exists()
 
     def bulk_growth_trace(self):
         # constrained tasks are exclusively single-node pins, so training is

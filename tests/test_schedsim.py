@@ -9,7 +9,8 @@ from sched_reference import reference_simulate
 
 from covvsched.covv import Constraint, Op, TaskConstraintSet
 from covvsched.neural import CLASS_COUNT, DenseLayer, TwoLayerClassifier
-from covvsched.oracle import GroupingConfig, NodeInventory, apply_machine_event
+from covvsched import schedsim
+from covvsched.oracle import GroupingConfig, NodeInventory, apply_machine_event, suitable_nodes
 from covvsched.schedsim import (
     ModelClassifier,
     OracleClassifier,
@@ -392,6 +393,28 @@ class TestReferenceWalk:
                               retrain_delay_ticks=delay)
         assert _sim_outcome(simulate, events, preload, policy[1], cfg) == \
             _sim_outcome(reference_simulate, events, preload, policy[1], cfg)
+
+    @pytest.mark.parametrize("policy", [("fifo", None), ("co-analyzer", "oracle")])
+    def test_blocked_signature_ahead_of_a_placeable_task(self, policy, monkeypatch):
+        # node 0's only slot is busy until tick 51, so tasks 1 and 2, pinned
+        # to it, wait in the queue ahead of task 3, pinned to the free node 1
+        events = bootstrap(2) + [task(0, 1000, dur=50_000), pin(1, 2000, node=0),
+                                 pin(2, 2000, node=0), pin(3, 2000, node=1)]
+        cfg = SchedulerConfig(policy=policy[0], slots_per_node=1)
+        scanned = []
+
+        def spy(inventory, task):
+            scanned.append(task.task_id)
+            return suitable_nodes(inventory, task)
+
+        monkeypatch.setattr(schedsim, "suitable_nodes", spy)
+        outcome = _sim_outcome(simulate, events, (), policy[1], cfg)
+        assert {s.task_id: s.placement_tick for s in outcome[2]} == {0: 1, 3: 2, 1: 51, 2: 52}
+        # task 2 is scanned at submission, at tick 51 after task 1 took node
+        # 0, and at tick 52 where it places; in the walks of ticks 2 and 3,
+        # task 1 has already found their signature blocked
+        assert scanned.count(2) == 3
+        assert outcome == _sim_outcome(reference_simulate, events, (), policy[1], cfg)
 
     V_EQ_X = (Constraint("v", Op.EQ, ("x",)),)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from helpers import json_values
+from trace_reference import reference_generate_events
 
 from covvsched.covv import Constraint, FeatureRegistry, Op, TaskConstraintSet, encode_task
 from covvsched.oracle import (
@@ -441,6 +442,43 @@ class TestGenerateTrace:
     def test_rate_above_constrained_fraction_rejected(self):
         with pytest.raises(ConfigError):
             SyntheticTraceConfig(constrained_fraction=0.0, restrictive_rate=15)
+
+    def test_growth_at_a_submission_time_applies_first(self):
+        # span_us=1 puts every task at t=1, the time of the injection
+        cfg = SyntheticTraceConfig(node_count=3, attribute_count=2, values_per_attribute=2,
+                                   task_count=20, span_us=1, growth_schedule=((1, 2),), seed=5)
+        kinds = [type(e) for e in generate_events(cfg) if e.time == 1]
+        assert kinds == [MachineEvent] * 2 + [TaskEvent] * 20
+
+
+class TestReferenceGenerator:
+    @settings(max_examples=150, deadline=None)
+    @given(cfg=_small_trace_configs())
+    @example(cfg=SyntheticTraceConfig(node_count=9, attribute_count=3, values_per_attribute=4,
+                                      task_count=30, span_us=5_000,
+                                      growth_schedule=((4_000, 2), (0, 4), (4_000, 3), (1_000, 1)),
+                                      seed=8))
+    @example(cfg=SyntheticTraceConfig(node_count=7, attribute_count=2, values_per_attribute=3,
+                                      task_count=25, span_us=5 * 10**9,
+                                      growth_schedule=((2**32 + 1, 2),), seed=9))
+    @example(cfg=SyntheticTraceConfig(node_count=5, attribute_count=2, values_per_attribute=3,
+                                      task_count=25, seed=10))
+    def test_events_equal_the_scalar_reference(self, cfg):
+        assert generate_events(cfg) == reference_generate_events(cfg)
+
+    @pytest.mark.parametrize("bound", [1, 10, 40, 200, 9_400, 2**32 - 1, 2**32 + 5])
+    def test_vector_draw_reads_the_stream_as_scalar_draws(self, bound):
+        # the numpy property the batched draws rest on: a bounded draw of
+        # size n consumes the stream as n scalar draws do, to the same state
+        scalar, vector = np.random.default_rng(7), np.random.default_rng(7)
+        # a 32-bit draw first, so a buffered half of the 64-bit output is in use
+        scalar.integers(0, 10), vector.integers(0, 10)
+        values = [int(scalar.integers(0, bound)) for _ in range(1_601)]
+        assert vector.integers(0, bound, size=1_601).tolist() == values
+        assert vector.bit_generator.state == scalar.bit_generator.state
+        vector.integers(0, bound, size=0)
+        assert vector.bit_generator.state == scalar.bit_generator.state
+        assert vector.random() == scalar.random()
 
 
 def small_cluster():
